@@ -8,7 +8,7 @@ construction: seed_i = first 8 bytes of SHA-256("<master>:<index>"), big
 endian, so nothing depends on scheduling order.
 
 Exit codes: 0 success, 2 a proven invariant failed somewhere, 3 config
-error, 4 I/O error.
+error, 4 I/O error, 5 numerical refinement hit its node cap.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .counterexamples import (continued_fraction_approximants,
                               irrational_geodesic_witness,
                               parallel_exception_search,
                               rational_geodesic_eigenfunction)
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError, InvariantViolation, QuadratureError
 from .fixtures import curve_from_config, model_from_config
 from .lattice import (arclog_bound_audit, cc_product_check, enumerate_circle,
                       jarnik_audit, max_arc_count, representable_up_to)
@@ -52,6 +52,11 @@ _THEOREM_FIELDS = {
     "ratio_l4_arcmax": float, "zeros_over_freq": float, "seed": int,
 }
 
+_WITNESS_FIELDS = {
+    "kind": str, "beta": float, "k": int, "p": int, "q": int,
+    "eigenvalue": int, "min_on_segment": float, "zeros": int,
+}
+
 SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
     ("lattice", "lattice"): {
         "kind": str, "n": int, "lambda": float, "npoints": int, "arc_max": int,
@@ -60,10 +65,7 @@ SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
         "cc_ok": bool, "arcmax_over_log": float,
     },
     ("nodal", "nodal"): _THEOREM_FIELDS,
-    ("nodal", "witness"): {
-        "kind": str, "beta": float, "k": int, "p": int, "q": int,
-        "eigenvalue": int, "min_on_segment": float, "zeros": int,
-    },
+    ("nodal", "witness"): _WITNESS_FIELDS,
     ("schur", "schur-block"): {
         "kind": str, "n": int, "epsilon": float, "K": int, "L": int,
         "rows": int, "cols": int, "nnz": int, "norm_1to1": float,
@@ -86,10 +88,7 @@ SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
         "kind": str, "beta": float, "k": int, "p": int, "q": int,
         "error": float, "inv_q_sq": float,
     },
-    ("exceptions", "witness"): {
-        "kind": str, "beta": float, "k": int, "p": int, "q": int,
-        "eigenvalue": int, "min_on_segment": float, "zeros": int,
-    },
+    ("exceptions", "witness"): _WITNESS_FIELDS,
     ("exceptions", "sphere"): {
         "kind": str, "theta0": float, "branch": str, "exceptional_degree": int,
         "min_prime_value": float, "primes_checked": int,
@@ -294,18 +293,22 @@ def nodal_tasks(cfg: ExperimentConfig) -> list[tuple[int, int]]:
     return tasks
 
 
+def _witness_rows(cfg: ExperimentConfig) -> list[dict]:
+    rows = []
+    for k in range(1, cfg.k_max + 1):
+        w = irrational_geodesic_witness(cfg.beta, cfg.v0, k)
+        rows.append({
+            "kind": "witness", "beta": cfg.beta, "k": k, "p": w.p, "q": w.q,
+            "eigenvalue": w.eigenvalue, "min_on_segment": w.min_on_segment,
+            "zeros": w.sign_changes,
+        })
+    return rows
+
+
 def nodal_rows(cfg: ExperimentConfig) -> list[dict]:
-    tasks = nodal_tasks(cfg)
-    rows = _parallel_map(
-        lambda task: _one_nodal_row(cfg, task[0], task[1]), tasks, cfg.jobs)
+    rows, _ = sweep_rows(cfg)
     if cfg.witness_demo:
-        for k in range(1, cfg.k_max + 1):
-            w = irrational_geodesic_witness(cfg.beta, cfg.v0, k)
-            rows.append({
-                "kind": "witness", "beta": cfg.beta, "k": k, "p": w.p, "q": w.q,
-                "eigenvalue": w.eigenvalue, "min_on_segment": w.min_on_segment,
-                "zeros": w.sign_changes,
-            })
+        rows += _witness_rows(cfg)
     return rows
 
 
@@ -378,13 +381,7 @@ def exceptions_rows(cfg: ExperimentConfig) -> list[dict]:
             "kind": "convergent", "beta": cfg.beta, "k": k, "p": approx.p,
             "q": approx.q, "error": approx.error, "inv_q_sq": 1.0 / approx.q**2,
         })
-    for k in range(1, cfg.k_max + 1):
-        w = irrational_geodesic_witness(cfg.beta, cfg.v0, k)
-        rows.append({
-            "kind": "witness", "beta": cfg.beta, "k": k, "p": w.p, "q": w.q,
-            "eigenvalue": w.eigenvalue, "min_on_segment": w.min_on_segment,
-            "zeros": w.sign_changes,
-        })
+    rows += _witness_rows(cfg)
     for theta in cfg.theta0:
         rep = parallel_exception_search(theta, prime_cap=cfg.prime_cap)
         rows.append({
@@ -566,6 +563,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except QuadratureError as exc:
+        print(f"numerical refinement hit its node cap: {exc}", file=sys.stderr)
+        return 5
     print(out)
     return 0
 

@@ -17,7 +17,8 @@ class AntipodalMedianError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit its node cap; carries the best estimate."""
+    """A grid refinement hit its node cap (CLI exit code 5); carries the
+    best estimate when there is one."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)

@@ -14,7 +14,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantViolation
 
@@ -76,25 +76,34 @@ def window_half_width(kind: str, radius: float, c: float = 1.0) -> float:
     return ArcWindow(0.0, kind, c).half_width(radius)
 
 
+def _orbit_circle(n: int, reps: Iterable[Point]) -> LatticeCircle:
+    """The circle x^2 + y^2 = n filled from representatives (x, y) by the
+    orbit under (x,y) -> (+-x, +-y) and (x,y) -> (y,x)."""
+    pts: set[Point] = set()
+    for x, y in reps:
+        for a in (x, -x):
+            for b in (y, -y):
+                pts.add((a, b))
+                pts.add((b, a))
+    ordered = tuple(sorted(pts, key=_angle))
+    return LatticeCircle(n=n, radius=math.sqrt(n), points=ordered)
+
+
 def enumerate_circle(n: int) -> LatticeCircle:
     """All integer solutions of x^2 + y^2 = n, angle-sorted and verified.
 
     Direct scan over x in [0, isqrt(n)] with an integer square-root test;
-    the orbit under (x,y) -> (-x,-y) and (x,y) -> (y,x) fills the circle.
+    the orbit of the solutions found fills the circle.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    pts: set[Point] = set()
+    reps = []
     for x in range(math.isqrt(n) + 1):
         rem = n - x * x
         y = math.isqrt(rem)
         if y * y == rem:
-            for a in (x, -x):
-                for b in (y, -y):
-                    pts.add((a, b))
-                    pts.add((b, a))
-    ordered = tuple(sorted(pts, key=_angle))
-    return LatticeCircle(n=n, radius=math.sqrt(n), points=ordered)
+            reps.append((x, y))
+    return _orbit_circle(n, reps)
 
 
 def representable_up_to(n_max: int) -> Iterator[LatticeCircle]:
@@ -114,14 +123,7 @@ def representable_up_to(n_max: int) -> Iterator[LatticeCircle]:
             if n >= 1:
                 reps[n].append((x, y))
     for n in sorted(reps):
-        pts: set[Point] = set()
-        for x, y in reps[n]:
-            for a in (x, -x):
-                for b in (y, -y):
-                    pts.add((a, b))
-                    pts.add((b, a))
-        ordered = tuple(sorted(pts, key=_angle))
-        yield LatticeCircle(n=n, radius=math.sqrt(n), points=ordered)
+        yield _orbit_circle(n, reps[n])
 
 
 def _max_window_count(angles: Sequence[float], width: float) -> tuple[int, int]:

@@ -3,10 +3,10 @@ experiment, and the assembled per-run record of all theorem-shaped ratios.
 
 Counts are certified lower bounds: every reported bracket [t-, t+] has
 f(t-) f(t+) < 0, so it contains a zero.  Tangential zeros are invisible to
-this counter by design.  The grid doubles until the count is unchanged
-through two consecutive doublings; refining never loses a bracket (a
-sign-change cell keeps a sign change after splitting), so counts are
-monotone across levels.
+this counter by design.  The grid walks the shared dyadic cascade until
+the count is unchanged through two consecutive doublings; refining never
+loses a bracket (a sign-change cell keeps a sign change after splitting),
+so counts are monotone across levels.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .oscillatory import NormReport, restriction_norms
-from .wavefield import RestrictedWave, _simpson_weights, f1_parts, split_f0_f1
+from .wavefield import (RestrictedWave, _bump, _simpson_weights, dyadic_levels,
+                        f1_parts, first_level, split_f0_f1)
 
 NODE_CAP_COUNT = 1 << 24
 
@@ -64,10 +65,8 @@ def certified_sign_changes(
         tol = 1e-12 * (b - a)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = 1 << max(6, math.ceil(math.log2(max(8.0 * rate * (b - a), 64.0))))
     counts: list[int] = []
-    stable = False
-    while True:
+    for n in dyadic_levels(first_level(8.0 * rate * (b - a)), node_cap):
         if grid_fn is not None:
             t, f = grid_fn(n)
         else:
@@ -80,9 +79,8 @@ def certified_sign_changes(
         if len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]:
             stable = True
             break
-        if 2 * n + 1 > node_cap:
-            break
-        n *= 2
+    else:
+        stable = False
 
     lo = t[cells].copy()
     hi = t[cells + 1].copy()
@@ -120,42 +118,10 @@ def count_sign_changes(rw: RestrictedWave, tol: float | None = None) -> SignChan
 # -- partition of unity ---------------------------------------------------------
 
 def _ramp(x: np.ndarray) -> np.ndarray:
-    """Monotone step 0 -> 1 over [0, 1], from the pinned cutoff profile."""
+    """Monotone step 0 -> 1 over [0, 1], from the pinned cutoff profile:
+    1 - b(x) for x > 0 and 0 otherwise, which is 1 - theta(1 + x) on x > -2."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    out[x <= 0.0] = 0.0
-    mid = (x > 0.0) & (x < 1.0)
-    xm = x[mid]
-    out[mid] = 1.0 - np.exp(1.0 - 1.0 / (1.0 - xm * xm))
-    return out
-
-
-def _ramp_d1(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mid = (x > 0.0) & (x < 1.0)
-    xm = x[mid]
-    g = 1.0 / (1.0 - xm * xm)
-    live = g < 700.0
-    e = np.zeros_like(xm)
-    e[live] = np.exp(1.0 - g[live])
-    out[mid] = e * 2.0 * xm * g * g
-    return out
-
-
-def _ramp_d2(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    mid = (x > 0.0) & (x < 1.0)
-    xm = x[mid]
-    g = 1.0 / (1.0 - xm * xm)
-    live = g < 700.0
-    e = np.zeros_like(xm)
-    e[live] = np.exp(1.0 - g[live])
-    gp = 2.0 * xm * g * g
-    gpp = 2.0 * g * g + 8.0 * xm * xm * g**3
-    out[mid] = e * (gpp - gp * gp)
-    return out
+    return np.where(x > 0.0, 1.0 - _bump(x), 0.0)
 
 
 @dataclass(frozen=True)
@@ -185,23 +151,18 @@ class PartitionOfUnity:
         chi = np.stack([self._chi(j, t) for j in range(self.count + 1)])
         return chi[:-1] - chi[1:]
 
+    def _d_chi(self, j: int, t: np.ndarray, order: int) -> np.ndarray:
+        if not 1 <= j <= self.count - 1:
+            return np.zeros_like(t)
+        return -_bump((t - j * self.h) / self.h, order) / self.h**order
+
     def d_tau(self, j: int, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        if 1 <= j <= self.count - 1:
-            out += _ramp_d1((t - j * self.h) / self.h) / self.h
-        if 1 <= j + 1 <= self.count - 1:
-            out -= _ramp_d1((t - (j + 1) * self.h) / self.h) / self.h
-        return out
+        return self._d_chi(j, t, 1) - self._d_chi(j + 1, t, 1)
 
     def d2_tau(self, j: int, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        if 1 <= j <= self.count - 1:
-            out += _ramp_d2((t - j * self.h) / self.h) / self.h**2
-        if 1 <= j + 1 <= self.count - 1:
-            out -= _ramp_d2((t - (j + 1) * self.h) / self.h) / self.h**2
-        return out
+        return self._d_chi(j, t, 2) - self._d_chi(j + 1, t, 2)
 
     def support(self, j: int) -> tuple[float, float]:
         return max(0.0, j * self.h), min(self.length, (j + 2) * self.h)
@@ -269,7 +230,7 @@ def partition_experiment(
         if rep.count >= 1:
             detected.append(j)
 
-    n = 1 << max(8, math.ceil(math.log2(max(8.0 * lam * L, 256.0))))
+    n = first_level(8.0 * lam * L, 256)
     t, f = rw.grid_values(n)
     w = _simpson_weights(n, L / n)
     taus = part.tau_matrix(t)

@@ -1,12 +1,12 @@
 """Oscillation-aware quadrature, restriction norms, and the dyadic Schur
 machinery over median shells.
 
-Quadrature is composite Simpson with grid doubling until two successive
-estimates agree; the initial spacing resolves the oscillation rate (at
-least four nodes per radian of phase).  All four restriction norms are
-computed from one shared grid, so the Holder chain between them is a
-discrete identity and any violation beyond rounding indicates a bug, not
-quadrature error.
+Quadrature is composite Simpson over the shared dyadic cascade
+(:func:`wavefield.dyadic_levels`) until two successive estimates agree; the
+initial spacing resolves the oscillation rate (at least four nodes per
+radian of phase).  All four restriction norms are computed from one
+shared grid, so the Holder chain between them is a discrete identity and
+any violation beyond rounding indicates a bug, not quadrature error.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from .curve import ArcLengthCurve
 from .errors import InvariantViolation, QuadratureError
 from .lattice import Point, chord_arc_max
 from .medians import DyadicShellDecomposition, Median
-from .wavefield import RestrictedWave, _simpson_weights
+from .wavefield import (RestrictedWave, _simpson_weights, dyadic_levels,
+                        first_level)
 
 NODE_CAP_OSC = 1 << 22
-NODE_CAP_NORM = 1 << 20
+NODE_CAP_NORM = (1 << 20) + 1  # 2^20 intervals
 
 
 @dataclass(frozen=True)
@@ -32,52 +33,6 @@ class QuadratureResult:
     value: complex
     error_estimate: float
     nodes_used: int
-
-
-def _next_pow2(x: float) -> int:
-    return 1 << max(6, math.ceil(math.log2(max(x, 1.0))))
-
-
-def osc_quadrature(
-    phase: Callable[[np.ndarray], np.ndarray],
-    amplitude: Callable[[np.ndarray], np.ndarray] | None,
-    a: float,
-    b: float,
-    k: float,
-    tol: float = 1e-9,
-    node_cap: int = NODE_CAP_OSC,
-) -> QuadratureResult:
-    """int_a^b A(t) e^{i k phase(t)} dt by doubling composite Simpson.
-
-    Generic engine; the initial interval count puts at least four nodes per
-    unit of k (and at least 64 over [a, b]).
-    """
-    if b <= a:
-        raise ValueError("need b > a")
-    n = _next_pow2(4.0 * abs(k) * (b - a))
-    prev = None
-    total_nodes = 0
-    while True:
-        t = np.linspace(a, b, n + 1)
-        vals = np.exp(1j * k * phase(t))
-        if amplitude is not None:
-            vals = vals * amplitude(t)
-        est = complex(_simpson_weights(n, (b - a) / n) @ vals)
-        total_nodes += n + 1
-        if prev is not None:
-            err = abs(est - prev)
-            if err < tol:
-                return QuadratureResult(value=est, error_estimate=err,
-                                        nodes_used=total_nodes)
-        if 2 * n + 1 > node_cap:
-            best = QuadratureResult(
-                value=est,
-                error_estimate=abs(est - prev) if prev is not None else math.inf,
-                nodes_used=total_nodes)
-            raise QuadratureError(
-                f"no convergence below {tol} within {node_cap} nodes", best=best)
-        prev = est
-        n *= 2
 
 
 def osc_integral(
@@ -98,30 +53,24 @@ def osc_integral(
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
     L = curve.length
-    n = _next_pow2(max(4.0 * abs(k) * L, 64.0))
-    prev = None
-    total_nodes = 0
-    while True:
+    est, err, total_nodes = None, math.inf, 0
+    for n in dyadic_levels(first_level(4.0 * abs(k) * L), node_cap):
         t, g, _ = curve.grid(n)
         vals = np.exp(1j * k * (g @ e))
         if amplitude is not None:
             vals = vals * amplitude(t)
-        est = complex(_simpson_weights(n, L / n) @ vals)
+        cur = complex(_simpson_weights(n, L / n) @ vals)
+        if est is not None:
+            err = abs(cur - est)
+        est = cur
         total_nodes += n + 1
-        if prev is not None:
-            err = abs(est - prev)
-            if err < tol:
-                return QuadratureResult(value=est, error_estimate=err,
-                                        nodes_used=total_nodes)
-        if 2 * n + 1 > node_cap:
-            best = QuadratureResult(
-                value=est,
-                error_estimate=abs(est - prev) if prev is not None else math.inf,
-                nodes_used=total_nodes)
-            raise QuadratureError(
-                f"no convergence below {tol} within {node_cap} nodes", best=best)
-        prev = est
-        n *= 2
+        if err < tol:
+            break
+    else:
+        raise QuadratureError(
+            f"no convergence below {tol} within {node_cap} nodes",
+            best=QuadratureResult(value=est, error_estimate=err, nodes_used=total_nodes))
+    return QuadratureResult(value=est, error_estimate=err, nodes_used=total_nodes)
 
 
 @dataclass(frozen=True)
@@ -224,9 +173,8 @@ def restriction_norms(
     """
     L = rw.curve.length
     lam = rw.lam
-    n = _next_pow2(max(8.0 * lam * L, 64.0))
     prev = None
-    while True:
+    for n in dyadic_levels(first_level(8.0 * lam * L), NODE_CAP_NORM):
         t, f = rw.grid_values(n)
         w = _simpson_weights(n, L / n)
         af = np.abs(f)
@@ -240,12 +188,10 @@ def restriction_norms(
             and abs(cur[2] - prev[2]) <= tol * max(1.0, cur[2])
         ):
             break
-        if 2 * n > NODE_CAP_NORM:
-            raise QuadratureError(
-                f"restriction norms did not stabilize within {NODE_CAP_NORM} nodes",
-                best=None)
         prev = cur
-        n *= 2
+    else:
+        raise QuadratureError(
+            f"restriction norms did not stabilize within {NODE_CAP_NORM} nodes")
 
     i = int(np.argmax(af))
     lsup = float(af[i])

@@ -7,16 +7,21 @@ always come in Hermitian pairs a_{-mu} = conj(a_mu), which keeps every field
 real-valued; evaluation audits the imaginary residue and discards it.
 
 The smooth cutoff used everywhere (coefficient splits here, partitions of
-unity in the sign-change module) is pinned to one formula so independent
+unity in the sign-change module) is pinned to one profile so independent
 runs are bit-comparable: theta(x) = 1 on |x| <= 1, 0 on |x| >= 2, and
-exp(1 - 1/(1 - (|x|-1)^2)) on the ramp.
+b(|x| - 1) on the ramp, with b the bump of :func:`_bump`.
+
+Every grid refinement in the package (oscillatory integrals, restriction
+norms, sign-change counts) walks the same dyadic cascade: it starts at
+:func:`first_level` and doubles through :func:`dyadic_levels` until its own
+stopping test passes or the next grid would exceed its node cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from typing import Iterator, Mapping, Protocol
 
 import numpy as np
 
@@ -29,27 +34,38 @@ IMAG_TOL = 1e-10
 
 # -- pinned smooth cutoff ----------------------------------------------------
 
+def _bump(r, order: int = 0) -> np.ndarray:
+    """b(r) = exp(1 - 1/(1 - r^2)) on 0 < r < 1 (order 0), or its first or
+    second r-derivative (order 1 or 2); 0 elsewhere.
+
+    Where r * r rounds to 1 the value is taken as 0, which it is to double
+    precision, so no division by zero can occur.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    live = (r > 0.0) & (r * r < 1.0)
+    rl = r[live]
+    g = 1.0 / (1.0 - rl * rl)
+    b = np.exp(1.0 - g)
+    if order == 1:
+        b = -b * 2.0 * rl * g * g
+    elif order == 2:
+        gp = 2.0 * rl * g * g
+        b = b * (gp * gp - (2.0 * g * g + 8.0 * rl * rl * g**3))
+    out[live] = b
+    return out
+
+
 def smooth_cutoff(x) -> np.ndarray:
     """theta: even, 1 on |x|<=1, 0 on |x|>=2, exp ramp between."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(ax)
-    out[ax <= 1.0] = 1.0
-    ramp = (ax > 1.0) & (ax < 2.0)
-    r = ax[ramp] - 1.0
-    out[ramp] = np.exp(1.0 - 1.0 / (1.0 - r * r))
-    return out
+    r = np.abs(np.asarray(x, dtype=float)) - 1.0
+    return np.where(r <= 0.0, 1.0, _bump(r))
 
 
 def smooth_cutoff_d1(x) -> np.ndarray:
     """Derivative of the pinned cutoff (analytic on the ramp, 0 elsewhere)."""
     xx = np.asarray(x, dtype=float)
-    ax = np.abs(xx)
-    out = np.zeros_like(ax)
-    ramp = (ax > 1.0) & (ax < 2.0)
-    r = ax[ramp] - 1.0
-    core = np.exp(1.0 - 1.0 / (1.0 - r * r))
-    out[ramp] = -core * 2.0 * r / (1.0 - r * r) ** 2 * np.sign(xx[ramp])
-    return out
+    return _bump(np.abs(xx) - 1.0, 1) * np.sign(xx)
 
 
 # -- coefficient models ------------------------------------------------------
@@ -468,7 +484,7 @@ def bilinear_H(
     if abs(ssq - 1.0) > 1e-9:
         raise ValueError("coefficients must satisfy sum |a|^2 = 1")
     lam = circle.radius
-    n_nodes = 1 << max(8, math.ceil(math.log2(max(16.0 * lam * curve.length, 64.0))))
+    n_nodes = first_level(16.0 * lam * curve.length, 256)
     t = np.linspace(0.0, curve.length, n_nodes + 1)
     w = _simpson_weights(n_nodes, curve.length / n_nodes)
     g = curve.gamma(t)
@@ -497,6 +513,27 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def first_level(x: float, floor: int = 64) -> int:
+    """Smallest power of two >= max(x, floor): the first interval count of
+    a dyadic cascade that needs at least x intervals."""
+    return 1 << math.ceil(math.log2(max(x, floor)))
+
+
+def dyadic_levels(n0: int, node_cap: int) -> Iterator[int]:
+    """Interval counts n0, 2*n0, 4*n0, ... of a grid-doubling refinement.
+
+    The first level always runs; the cascade ends once the next grid's
+    n + 1 nodes would exceed node_cap.  Callers break out on their own
+    stopping test, so running off the end means the cap was hit.
+    """
+    n = n0
+    while True:
+        yield n
+        if 2 * n + 1 > node_cap:
+            return
+        n *= 2
 
 
 # -- squared restriction, expanded over medians --------------------------------

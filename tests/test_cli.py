@@ -46,11 +46,14 @@ def test_lattice_empty_range(tmp_path):
     assert rows == []  # header only
 
 
-def test_replay_determinism(tmp_path):
+@pytest.mark.parametrize("fixture", ["circular", "ellipse"])
+def test_replay_determinism(tmp_path, fixture):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"curve": {"fixture": fixture}}))
     for path, jobs in ((a, "1"), (b, "2")):
-        code = main(["sweep", "--n", "1105", "--seeds", "3", "--seed", "11",
-                     "--out", str(path), "--jobs", jobs, "--no-csv"])
+        code = main(["sweep", "--config", str(cfg), "--n", "1105", "--seeds", "3",
+                     "--seed", "11", "--out", str(path), "--jobs", jobs, "--no-csv"])
         assert code == 0
     la = Path(a).read_text().splitlines()
     lb = Path(b).read_text().splitlines()
@@ -116,6 +119,17 @@ def test_exit_code_io_error(tmp_path):
     blocker.write_text("")
     out = blocker / "sub" / "z.jsonl"  # parent is a file: mkdir fails
     assert main(["lattice", "--n", "1..10", "--out", str(out)]) == 4
+
+
+def test_exit_code_node_cap(tmp_path, monkeypatch, capsys):
+    # 65 nodes admit only the first 64-interval level, so no norm can settle
+    monkeypatch.setattr("toral_nodal.oscillatory.NODE_CAP_NORM", 65)
+    out = tmp_path / "cap.jsonl"
+    assert main(["sweep", "--n", "25", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical refinement hit its node cap")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

@@ -10,8 +10,8 @@ from toral_nodal.lattice import enumerate_circle
 from toral_nodal.medians import build_median_set, dyadic_decompose, median_dist
 from toral_nodal.oscillatory import (bilinear_form_bound, fourier_l2_sq,
                                      l2_ratio, l4_vs_B, osc_integral,
-                                     osc_quadrature, restriction_norms,
-                                     schur_family, schur_norms, vdc_audit)
+                                     restriction_norms, schur_family,
+                                     schur_norms, vdc_audit)
 from toral_nodal.wavefield import (ArcLocalized, SinglePair, UniformRandom,
                                    make_eigenfunction, restrict)
 
@@ -34,21 +34,39 @@ def test_zero_frequency_gives_length(circ):
     assert res.value == pytest.approx(circ.length, abs=1e-12)
 
 
-def test_full_period_bessel():
+def gl_reference(curve, xi, k: float, panels: int = 8) -> complex:
+    """Independent oracle for osc_integral: composite 16-point Gauss-Legendre
+    of e^{ik<gamma(u), e>} |gamma'(u)| du in the curve spec's own parameter u,
+    with no arc-length inversion and no uniform grid."""
+    spec = curve.spec
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(spec.angle0, spec.angle1, panels + 1)
+    e = np.asarray(xi, dtype=float) / math.hypot(*xi)
+    total = 0.0 + 0.0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        speed = np.linalg.norm(spec.d1(u), axis=-1)
+        total += 0.5 * (hi - lo) * np.sum(w * speed * np.exp(1j * k * (spec.point(u) @ e)))
+    return complex(total)
+
+
+XI = (0.6, 0.8)
+
+
+def test_full_period_bessel(circ):
     assert j0_series(10.0) == pytest.approx(J0_AT_10, abs=1e-13)
-    res = osc_quadrature(np.sin, None, 0.0, 2 * math.pi, 10.0, tol=1e-10)
-    assert res.value.real == pytest.approx(2 * math.pi * J0_AT_10, abs=1e-8)
-    assert abs(res.value.imag) < 1e-10
+    ref = gl_reference(circ, XI, 10.0)
+    res = osc_integral(circ, None, XI, 10.0, tol=1e-10)
+    assert abs(res.value - ref) < 1e-9
     assert res.error_estimate < 1e-10
 
 
-def test_quadrature_node_cap():
+def test_quadrature_node_cap(circ):
     with pytest.raises(QuadratureError) as err:
-        osc_quadrature(np.sin, None, 0.0, 2 * math.pi, 5.0, tol=1e-30,
-                       node_cap=1 << 10)
-    assert err.value.best is not None
-    assert err.value.best.value.real == pytest.approx(2 * math.pi * j0_series(5.0),
-                                                      abs=1e-6)
+        osc_integral(circ, None, XI, 10.0, tol=1e-30, node_cap=1 << 10)
+    best = err.value.best
+    assert best is not None and best.nodes_used < 2 * (1 << 10)
+    assert abs(best.value - gl_reference(circ, XI, 10.0)) < 1e-6
 
 
 def test_osc_integral_amplitude(circ):
