@@ -93,6 +93,13 @@ class CubicArc:
     y_coeffs: tuple[float, float, float, float]
     angle0: float  # parameter range; named for config uniformity
     angle1: float
+    # (x, y) coefficients of the k-th derivative at index k - 1, k = 1, 2, 3
+    _ders: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        der = np.polynomial.polynomial.polyder
+        object.__setattr__(self, "_ders", tuple(
+            (der(self.x_coeffs, k), der(self.y_coeffs, k)) for k in (1, 2, 3)))
 
     def _eval(self, u, cx, cy):
         u = np.asarray(u, dtype=float)
@@ -104,19 +111,13 @@ class CubicArc:
         return self._eval(u, self.x_coeffs, self.y_coeffs)
 
     def d1(self, u):
-        dx = np.polynomial.polynomial.polyder(self.x_coeffs)
-        dy = np.polynomial.polynomial.polyder(self.y_coeffs)
-        return self._eval(u, dx, dy)
+        return self._eval(u, *self._ders[0])
 
     def d2(self, u):
-        dx = np.polynomial.polynomial.polyder(self.x_coeffs, 2)
-        dy = np.polynomial.polynomial.polyder(self.y_coeffs, 2)
-        return self._eval(u, dx, dy)
+        return self._eval(u, *self._ders[1])
 
     def d3(self, u):
-        dx = np.polynomial.polynomial.polyder(self.x_coeffs, 3)
-        dy = np.polynomial.polynomial.polyder(self.y_coeffs, 3)
-        return self._eval(u, dx, dy)
+        return self._eval(u, *self._ders[2])
 
 
 CurveSpec = Union[CircularArc, EllipseArc, CubicArc]

@@ -4,7 +4,12 @@ machinery built on top of the restriction.
 The canonical normalization is sum |a_mu|^2 = 1, so the full-torus L2 norm
 (with respect to Lebesgue measure on [0, 2pi)^2) is 1/(2pi).  Coefficients
 always come in Hermitian pairs a_{-mu} = conj(a_mu), which keeps every field
-real-valued; evaluation audits the imaginary residue and discards it.
+real-valued.  Evaluation sums the upper half plane only, in real arithmetic
+and in fixed chunks of points (so memory stays bounded): with
+b_mu = a_mu + conj(a_{-mu}), Re F(x) = sum_upper Re b cos<mu,x> - Im b sin<mu,x>.
+The dropped imaginary part is certified once, at construction: |Im F(x)| <=
+D = sum_upper |a_mu - conj(a_{-mu})| at every x, and evaluation refuses a
+field whose D exceeds IMAG_TOL.
 
 The smooth cutoff used everywhere (coefficient splits here, partitions of
 unity in the sign-change module) is pinned to one profile so independent
@@ -30,6 +35,10 @@ from .errors import InvariantViolation
 from .lattice import LatticeCircle, Point, _angle
 
 IMAG_TOL = 1e-10
+
+# Points per block of the evaluation kernel, whose temporaries are then
+# 3 * _EVAL_CHUNK * #E/2 floats however many points are evaluated.
+_EVAL_CHUNK = 4096
 
 
 # -- pinned smooth cutoff ----------------------------------------------------
@@ -197,6 +206,13 @@ class Eigenfunction:
     check_norm: bool = True
     _mus: np.ndarray = field(init=False, repr=False, compare=False)
     _a: np.ndarray = field(init=False, repr=False, compare=False)
+    # evaluation kernel: upper-half frequencies and the real weights
+    # Re b_mu and -Im b_mu, b_mu = a_mu + conj(a_{-mu})
+    _upper: np.ndarray = field(init=False, repr=False, compare=False)
+    _re_b: np.ndarray = field(init=False, repr=False, compare=False)
+    _neg_im_b: np.ndarray = field(init=False, repr=False, compare=False)
+    sum_abs: float = field(init=False, repr=False, compare=False)
+    imag_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = set(self.coeffs)
@@ -213,14 +229,20 @@ class Eigenfunction:
         object.__setattr__(self, "_mus", np.array(keys, dtype=float))
         object.__setattr__(
             self, "_a", np.array([self.coeffs[k] for k in keys], dtype=complex))
+        upper = [k for k in keys if _upper_half(k)]
+        b = np.array([self.coeffs[k] + self.coeffs[_neg(k)].conjugate()
+                      for k in upper], dtype=complex)
+        object.__setattr__(self, "_upper", np.array(upper, dtype=float).reshape(-1, 2))
+        object.__setattr__(self, "_re_b", b.real)
+        object.__setattr__(self, "_neg_im_b", -b.imag)
+        object.__setattr__(
+            self, "sum_abs", float(sum(abs(a) for a in self.coeffs.values())))
+        object.__setattr__(self, "imag_bound", float(sum(
+            abs(self.coeffs[k] - self.coeffs[_neg(k)].conjugate()) for k in upper)))
 
     @property
     def sum_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.coeffs.values()))
-
-    @property
-    def sum_abs(self) -> float:
-        return float(sum(abs(a) for a in self.coeffs.values()))
 
     @property
     def l2_norm(self) -> float:
@@ -240,15 +262,39 @@ def make_eigenfunction(circle: LatticeCircle, model: CoefficientModel) -> Eigenf
     return Eigenfunction(circle=circle, coeffs=coeffs, model=model)
 
 
-def evaluate(F: Eigenfunction, x) -> np.ndarray:
-    """F at torus points x (shape (..., 2)); audits and drops the imaginary part."""
+def _half_plane_sum(F: Eigenfunction, x, rate=None) -> np.ndarray:
+    """Re F at points x (shape (..., 2)) as the upper-half-plane sum, or with
+    rate (shape of x, e.g. a curve's tangent) its derivative along rate.
+    Points go in blocks of _EVAL_CHUNK rows through three reused buffers."""
     x = np.asarray(x, dtype=float)
-    phases = x @ F._mus.T
-    vals = np.exp(1j * phases) @ F._a
-    resid = np.max(np.abs(vals.imag)) if vals.size else 0.0
-    if resid > IMAG_TOL:
-        raise InvariantViolation(f"imaginary residue {resid:.3e} in evaluation")
-    out = vals.real
+    shape = x.shape[:-1]
+    x = x.reshape(-1, 2)
+    if rate is not None:
+        rate = np.asarray(rate, dtype=float).reshape(-1, 2)
+    n = len(x)
+    out = np.empty(n)
+    buf = np.empty((3, min(n, _EVAL_CHUNK), len(F._re_b)))
+    for s in range(0, n, _EVAL_CHUNK):
+        e = min(n, s + _EVAL_CHUNK)
+        ph, c, sn = buf[:, :e - s]
+        np.matmul(x[s:e], F._upper.T, out=ph)
+        np.cos(ph, out=c)
+        np.sin(ph, out=sn)
+        if rate is None:
+            out[s:e] = c @ F._re_b + sn @ F._neg_im_b
+        else:
+            np.matmul(rate[s:e], F._upper.T, out=ph)
+            out[s:e] = (c * ph) @ F._neg_im_b - (sn * ph) @ F._re_b
+    return out.reshape(shape)
+
+
+def evaluate(F: Eigenfunction, x) -> np.ndarray:
+    """F at torus points x (shape (..., 2)); refuses a field whose certified
+    imaginary bound exceeds IMAG_TOL and audits the coefficient sup bound."""
+    if F.imag_bound > IMAG_TOL:
+        raise InvariantViolation(
+            f"imaginary part bounded only by {F.imag_bound:.3e} > {IMAG_TOL:.0e}")
+    out = _half_plane_sum(F, x)
     if out.size and np.max(np.abs(out)) > F.sum_abs + 1e-12:
         raise InvariantViolation("evaluation exceeded the coefficient sup bound")
     return out
@@ -291,12 +337,7 @@ class RestrictedWave:
 
     def derivative(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        g = self.curve.gamma(t)
-        tang = self.curve.tangent(t)
-        ph = g @ self.F._mus.T
-        rate = tang @ self.F._mus.T
-        vals = (1j * rate * np.exp(1j * ph)) @ self.F._a
-        return vals.real
+        return _half_plane_sum(self.F, self.curve.gamma(t), self.curve.tangent(t))
 
     def grid_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(t, f) on the cached uniform n+1-node grid over [0, L].

@@ -46,7 +46,7 @@ def test_lattice_empty_range(tmp_path):
     assert rows == []  # header only
 
 
-@pytest.mark.parametrize("fixture", ["circular", "ellipse"])
+@pytest.mark.parametrize("fixture", ["circular", "ellipse", "cubic"])
 def test_replay_determinism(tmp_path, fixture):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     cfg = tmp_path / "cfg.json"

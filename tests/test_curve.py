@@ -44,6 +44,16 @@ def test_cubic_length_matches_reference(cub):
     assert abs(cub.length - ref) < 1e-9
 
 
+def test_cubic_cached_derivatives_match_polyder(cub):
+    spec = cub.spec
+    u = np.linspace(spec.angle0, spec.angle1, 1000)
+    P = np.polynomial.polynomial
+    for k, d in ((1, spec.d1), (2, spec.d2), (3, spec.d3)):
+        fresh = np.stack([P.polyval(u, P.polyder(spec.x_coeffs, k)),
+                          P.polyval(u, P.polyder(spec.y_coeffs, k))], axis=-1)
+        assert np.array_equal(d(u), fresh)
+
+
 def test_full_circle_rejected():
     with pytest.raises(ValueError, match="curvature"):
         make_arclength(CircularArc(center=(0, 0), radius=1.0,

@@ -1,12 +1,15 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toral_nodal import wavefield
 from toral_nodal.curve import CircularArc, make_arclength
+from toral_nodal.errors import InvariantViolation
 from toral_nodal.lattice import enumerate_circle
 from toral_nodal.wavefield import (ArcLocalized, CompactBump, CutoffEnvelope,
                                    Eigenfunction, GaussianRandom, SinglePair,
@@ -138,6 +141,62 @@ def test_parseval_on_uniform_grid(circle25):
     grid = np.stack(np.meshgrid(ax, ax), axis=-1)
     mean_sq = float(np.mean(evaluate(F, grid) ** 2))
     assert abs(mean_sq - F.sum_sq) <= 1e-3 * F.sum_sq
+
+
+CHUNK = wavefield._EVAL_CHUNK
+
+
+@pytest.mark.parametrize(
+    "shape", [(CHUNK - 1,), (CHUNK,), (CHUNK + 1,), (2 * CHUNK + 3,), (3, 5)])
+def test_evaluate_chunk_boundaries(circle1105, shape):
+    F = make_eigenfunction(circle1105, UniformRandom(seed=6))
+    x = np.random.default_rng(len(shape)).uniform(0, 2 * math.pi, (*shape, 2))
+    vals = evaluate(F, x)
+    assert vals.shape == shape
+    ref = np.array([reference_sum(F, p) for p in x.reshape(-1, 2)])
+    assert np.max(np.abs(vals.reshape(-1) - ref)) <= 1e-12
+
+
+def test_evaluate_memory_is_bounded():
+    F = make_eigenfunction(enumerate_circle(160225), GaussianRandom(seed=1))
+    assert len(F.coeffs) == 96
+    rng = np.random.default_rng(0)
+    extra = []
+    for npts in (1 << 16, 1 << 18):
+        x = rng.uniform(0, 2 * math.pi, (npts, 2))
+        tracemalloc.start()
+        try:
+            out = evaluate(F, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - out.nbytes)
+    one_chunk = CHUNK * len(F.coeffs) // 2 * 8
+    assert abs(extra[1] - extra[0]) <= one_chunk
+    assert max(extra) < 16 * 2**20
+
+
+@pytest.mark.parametrize("model", [
+    SinglePair(mu=(31, 12), phase=0.4), UniformRandom(seed=1),
+    GaussianRandom(seed=2), ArcLocalized(center_angle=0.3, seed=3, fraction=0.1)])
+def test_imaginary_bound_is_zero_for_models(circle1105, model):
+    assert make_eigenfunction(circle1105, model).imag_bound == 0.0
+
+
+def test_imaginary_bound_enforced(circle25, monkeypatch):
+    # real pairs with a 1e-12 imaginary defect on the upper member, which
+    # the import's Hermitian tolerance (1e-12) still admits
+    upper = {p for p in circle25.points if p[1] > 0 or (p[1] == 0 and p[0] > 0)}
+    data = {"n": 25, "coeffs": [[p[0], p[1], 0.2, 1e-12 if p in upper else 0.0]
+                                for p in circle25.points]}
+    F = eigenfunction_from_json(data, circle25)
+    pairs = len(F.coeffs) // 2
+    assert F.imag_bound == pytest.approx(pairs * 1e-12, rel=1e-3)
+    x = np.zeros((4, 2))
+    evaluate(F, x)
+    monkeypatch.setattr(wavefield, "IMAG_TOL", 0.5 * F.imag_bound)
+    with pytest.raises(InvariantViolation, match="imaginary"):
+        evaluate(F, x)
 
 
 def test_arc_cover_count(circle25, circle1105):
