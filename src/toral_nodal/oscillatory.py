@@ -7,6 +7,11 @@ initial spacing resolves the oscillation rate (at least four nodes per
 radian of phase).  All four restriction norms are computed from one
 shared grid, so the Holder chain between them is a discrete identity and
 any violation beyond rounding indicates a bug, not quadrature error.
+
+The Schur blocks are sparse: one cell-list pair finder over the medians'
+integer doubled coordinates yields the pairs inside the lambda^epsilon
+locality window in row-major COO form, and every block, norm and
+bilinear sum is computed from those triplets in O(M + nnz) memory.
 """
 
 from __future__ import annotations
@@ -276,12 +281,22 @@ def l4_vs_B(rw: RestrictedWave, report: NormReport | None = None) -> tuple[float
 
 @dataclass(frozen=True)
 class SchurBlock:
+    """The kernel 1/|z-w|_+^(1/2) between two shells, kept only on the
+    pairs inside the lambda^epsilon locality window, in row-major COO
+    form: entry i is ``val[i]`` at row ``row[i]`` (an index into ws) and
+    column ``col[i]`` (an index into zs)."""
+
     K: int
     L: int
     zs: tuple[Median, ...]  # columns, in S_K
     ws: tuple[Median, ...]  # rows, in S_L
-    matrix: np.ndarray
-    nnz: int
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.val)
 
 
 @dataclass(frozen=True)
@@ -292,31 +307,70 @@ class SchurFamily:
     arc_max: int
 
 
-def _block_matrix(zs, ws, locality):
-    z2 = np.array([m.z2 for m in zs], dtype=np.int64)
-    w2 = np.array([m.z2 for m in ws], dtype=np.int64)
-    diff = w2[:, None, :] - z2[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    dist = 0.5 * np.sqrt(d2.astype(float))
-    mask = dist < locality
-    mat = np.where(mask, 1.0 / np.sqrt(np.maximum(1.0, dist)), 0.0)
-    return mat, int(np.count_nonzero(mask))
+# the 3 x 3 neighbourhood of a cell, as offsets of _cell_keys values
+_NEIGHBOURS = tuple((dx << 32) + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def _coords(meds: Sequence[Median]) -> np.ndarray:
+    return np.array([m.z2 for m in meds], dtype=np.int64).reshape(-1, 2)
+
+
+def _cell_keys(cells: np.ndarray) -> np.ndarray:
+    return (cells[:, 0] << 32) + cells[:, 1]
+
+
+def _window_pairs(z2: np.ndarray, w2: np.ndarray, locality: float):
+    """Row-major COO (row, col, val) of 1/|z-w|_+^(1/2) over the pairs of
+    rows w2 and columns z2 (doubled coordinates) with |z - w| < locality.
+
+    A cell list: the columns are sorted by their cell of side
+    ceil(2 * locality) in doubled coordinates, so every pair in the window
+    lies in one of the 3 x 3 cells around its row's cell.  The candidates
+    from those cells are cut with the float test 0.5*sqrt(d2) < locality
+    on the exact integer d2, so the window is the dense kernel's, bit for
+    bit.  Cost is O(M log M) plus the candidates, which do not grow with
+    the number of lattice offsets inside the window.
+    """
+    side = max(1, math.ceil(2.0 * locality))
+    zk = _cell_keys(z2 // side)
+    order = np.argsort(zk, kind="stable")
+    zk = zk[order]
+    wk = _cell_keys(w2 // side)
+    rows, cols, dists = [], [], []
+    for offset in _NEIGHBOURS:
+        target = wk + offset
+        lo = np.searchsorted(zk, target, "left")
+        cnt = np.searchsorted(zk, target, "right") - lo
+        row = np.repeat(np.arange(len(w2)), cnt)
+        # row i's candidates are the sorted columns lo[i] .. lo[i] + cnt[i] - 1
+        col = order[np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())]
+        diff = w2[row] - z2[col]
+        dist = 0.5 * np.sqrt(np.sum(diff * diff, axis=1).astype(float))
+        keep = dist < locality
+        rows.append(row[keep])
+        cols.append(col[keep])
+        dists.append(dist[keep])
+    row, col, dist = np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+    rank = np.lexsort((col, row))
+    return row[rank], col[rank], 1.0 / np.sqrt(np.maximum(1.0, dist[rank]))
 
 
 def schur_family(decomp: DyadicShellDecomposition) -> SchurFamily:
-    """Materialize the shell-pair matrices (1/|z-w|_+^(1/2)) with entries
-    zeroed outside the lambda^epsilon locality window.
+    """The sparse shell-pair kernels (1/|z-w|_+^(1/2)) restricted to the
+    lambda^epsilon locality window, one :class:`SchurBlock` per K <= L.
 
-    Only K <= L blocks are stored; the (L, K) block is the transpose.
+    The (L, K) block is the transpose and is not stored.  Memory and time
+    are O(M + nnz) up to a sort, M being the number of starred medians;
+    no dense shell-pair array is built.
     """
     keys = sorted(decomp.shells)
+    z2 = {K: _coords(decomp.shells[K]) for K in keys}
     blocks: dict[tuple[int, int], SchurBlock] = {}
     for i, K in enumerate(keys):
         for L in keys[i:]:
-            zs = decomp.shells[K]
-            ws = decomp.shells[L]
-            mat, nnz = _block_matrix(zs, ws, decomp.locality)
-            blocks[(K, L)] = SchurBlock(K=K, L=L, zs=zs, ws=ws, matrix=mat, nnz=nnz)
+            row, col, val = _window_pairs(z2[K], z2[L], decomp.locality)
+            blocks[(K, L)] = SchurBlock(K=K, L=L, zs=decomp.shells[K], ws=decomp.shells[L],
+                                        row=row, col=col, val=val)
     return SchurFamily(
         blocks=blocks,
         lam=decomp.mset.radius,
@@ -340,12 +394,15 @@ class SchurNormReport:
 
 def schur_norms(fam: SchurFamily) -> dict[tuple[int, int], SchurNormReport]:
     """Induced 1-norms per block (exact column/row sums: entries are
-    nonnegative) and the Schur-test 2->2 bound, their geometric mean."""
+    nonnegative) and the Schur-test 2->2 bound, their geometric mean.
+
+    Each sum adds its entries in row-major order (``np.bincount``)."""
     out: dict[tuple[int, int], SchurNormReport] = {}
     for (K, L), blk in sorted(fam.blocks.items()):
-        m = blk.matrix
-        col = float(np.max(m.sum(axis=0))) if m.size else 0.0
-        row = float(np.max(m.sum(axis=1))) if m.size else 0.0
+        col_sums = np.bincount(blk.col, blk.val, len(blk.zs))
+        row_sums = np.bincount(blk.row, blk.val, len(blk.ws))
+        col = float(col_sums.max()) if col_sums.size else 0.0
+        row = float(row_sums.max()) if row_sums.size else 0.0
         prod = col * row
         out[(K, L)] = SchurNormReport(
             K=K, L=L,
@@ -373,12 +430,19 @@ class BilinearBoundReport:
     truncation_term: float
 
 
+def _abs_weights(meds: Sequence[Median], bz: Mapping[Point, complex]) -> np.ndarray:
+    return np.array([abs(bz.get(m.z2, 0.0)) for m in meds], dtype=float)
+
+
+def _quadratic(vw: np.ndarray, row, col, val, vz: np.ndarray) -> float:
+    """sum over COO entries of vw[row] * val * vz[col]."""
+    return float(np.sum(vw[row] * val * vz[col]))
+
+
 def _flat_quadratic(meds: Sequence[Median], bz, locality) -> float:
-    if not meds:
-        return 0.0
-    v = np.array([abs(bz.get(m.z2, 0.0)) for m in meds])
-    mat, _ = _block_matrix(meds, meds, locality)
-    return float(v @ mat @ v)
+    v = _abs_weights(meds, bz)
+    z2 = _coords(meds)
+    return _quadratic(v, *_window_pairs(z2, z2, locality), v)
 
 
 def bilinear_form_bound(
@@ -390,19 +454,23 @@ def bilinear_form_bound(
     sum |b_z||b_w| / |z-w|_+^(1/2) <= C * (arc max) * ||b||^2,
     over the starred shells and over the small-gap set (0 < Delta <= sqrt(lambda)).
 
-    The starred sum is evaluated twice: a flat double scan and the
-    shell-blocked form; both run over ordered pairs (diagonal included,
-    where |.|_+ floors the denominator at 1) and must agree to rounding.
+    The starred sum is evaluated twice: a flat sum over all windowed
+    pairs of starred medians, and the shell-blocked form (K <= L blocks,
+    off-diagonal blocks doubled); both run over ordered pairs (diagonal
+    included, where |.|_+ floors the denominator at 1) and must agree to
+    rounding.  Both sides take their pairs from the same sparse pair
+    finder, so their agreement checks the shell partition, that the
+    K <= L blocks with doubled off-diagonals cover every ordered pair
+    exactly once, not the pair finder itself.
     """
     if fam is None:
         fam = schur_family(decomp)
     starred = decomp.starred()
     lhs_flat = _flat_quadratic(starred, bz, decomp.locality)
+    shell_v = {K: _abs_weights(blk.zs, bz) for (K, L), blk in fam.blocks.items() if K == L}
     blocked = 0.0
     for (K, L), blk in sorted(fam.blocks.items()):
-        vz = np.array([abs(bz.get(m.z2, 0.0)) for m in blk.zs])
-        vw = np.array([abs(bz.get(m.z2, 0.0)) for m in blk.ws])
-        term = float(vw @ blk.matrix @ vz) if blk.matrix.size else 0.0
+        term = _quadratic(shell_v[L], blk.row, blk.col, blk.val, shell_v[K])
         blocked += term if K == L else 2.0 * term
     lhs_small = _flat_quadratic(decomp.small_gap, bz, decomp.locality)
     b_sq = float(sum(abs(v) ** 2 for v in bz.values()))

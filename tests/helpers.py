@@ -45,3 +45,18 @@ def analytic_crossing_count(curve, mu, phase_shift):
         j_hi = math.floor((hi - math.pi / 2) / math.pi - 1e-15)
         total += max(0, j_hi - j_lo + 1)
     return total
+
+
+def block_matrix(zs, ws, locality):
+    """Dense oracle for the Schur kernel: the (rows x cols) matrix of
+    1/|z-w|_+^(1/2) between medians ws (rows) and zs (columns), zeroed
+    outside |z - w| < locality, and the count of cells inside the window.
+    Memory is rows * cols; pass row slices of large shells."""
+    z2 = np.array([m.z2 for m in zs], dtype=np.int64).reshape(-1, 2)
+    w2 = np.array([m.z2 for m in ws], dtype=np.int64).reshape(-1, 2)
+    diff = w2[:, None, :] - z2[None, :, :]
+    d2 = np.sum(diff * diff, axis=-1)
+    dist = 0.5 * np.sqrt(d2.astype(float))
+    mask = dist < locality
+    mat = np.where(mask, 1.0 / np.sqrt(np.maximum(1.0, dist)), 0.0)
+    return mat, int(np.count_nonzero(mask))

@@ -39,7 +39,8 @@ from toral_nodal.wavefield import SinglePair, UniformRandom, make_eigenfunction,
 N_LIMIT_ARCS = 100_000
 N_LIMIT_CC = 5_000
 N_LIMIT_MEDIANS = 10_000
-SCHUR_N = (1105, 4225, 5525)
+SCHUR_N = (1105, 4225, 5525, 160225, 1185665)  # the last two: #E 96 and 128
+ENSEMBLE_N = (1105, 4225, 5525)
 
 FOURIER_POOL = (25, 65, 325, 1105, 4225, 8125)
 
@@ -71,10 +72,10 @@ def _harness_row(args):
 
 @pytest.fixture(scope="module")
 def ensembles():
-    """Criterion 12: two disjoint 50-seed ensembles over the schur triple."""
+    """Criterion 12: two disjoint 50-seed ensembles over three circles."""
     curve = circular_fixture()
-    tasks_a = [(n, s, curve) for n in SCHUR_N for s in range(50)]
-    tasks_b = [(n, s, curve) for n in SCHUR_N for s in range(50, 100)]
+    tasks_a = [(n, s, curve) for n in ENSEMBLE_N for s in range(50)]
+    tasks_b = [(n, s, curve) for n in ENSEMBLE_N for s in range(50, 100)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         rows_a = list(pool.map(_harness_row, tasks_a))
         rows_b = list(pool.map(_harness_row, tasks_b))

@@ -1,17 +1,22 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import block_matrix
+
 from toral_nodal.errors import QuadratureError
 from toral_nodal.lattice import enumerate_circle
-from toral_nodal.medians import build_median_set, dyadic_decompose, median_dist
-from toral_nodal.oscillatory import (bilinear_form_bound, fourier_l2_sq,
-                                     l2_ratio, l4_vs_B, osc_integral,
-                                     restriction_norms, schur_family,
-                                     schur_norms, vdc_audit)
+from toral_nodal.medians import (build_median_set, dyadic_decompose, median_dist,
+                                 shell_window_count)
+from toral_nodal.oscillatory import (_coords, _window_pairs, bilinear_form_bound,
+                                     fourier_l2_sq, l2_ratio, l4_vs_B,
+                                     osc_integral, restriction_norms,
+                                     schur_family, schur_norms, vdc_audit)
 from toral_nodal.wavefield import (ArcLocalized, SinglePair, UniformRandom,
                                    make_eigenfunction, restrict)
 
@@ -193,6 +198,7 @@ def test_induced_one_norms_against_enumeration(rows, cols, seed):
     assert col == pytest.approx(oracle, rel=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def _family(n, epsilon=0.45):
     decomp = dyadic_decompose(build_median_set(enumerate_circle(n)), epsilon)
     return decomp, schur_family(decomp)
@@ -201,9 +207,11 @@ def _family(n, epsilon=0.45):
 def test_schur_entries_bounded(circle1105):
     decomp, fam = _family(1105)
     for blk in fam.blocks.values():
-        assert np.all(blk.matrix <= 1.0) and np.all(blk.matrix >= 0.0)
+        assert np.all(blk.val <= 1.0) and np.all(blk.val > 0.0)
         if blk.K == blk.L:
-            assert np.all(np.diag(blk.matrix) == 1.0)  # |.|_+ floors at 1
+            diag = blk.row == blk.col
+            assert np.count_nonzero(diag) == len(blk.zs)  # every z is its own neighbour
+            assert np.all(blk.val[diag] == 1.0)  # |.|_+ floors at 1
 
 
 def test_schur_norm_reports(circle1105):
@@ -211,10 +219,89 @@ def test_schur_norm_reports(circle1105):
     reports = schur_norms(fam)
     for (K, L), rep in reports.items():
         blk = fam.blocks[(K, L)]
-        assert rep.norm_1to1 == float(np.max(blk.matrix.sum(axis=0)))
-        assert rep.norm_adj_1to1 == float(np.max(blk.matrix.sum(axis=1)))
+        col_sums, row_sums = [0.0] * len(blk.zs), [0.0] * len(blk.ws)
+        for r, c, v in zip(blk.row.tolist(), blk.col.tolist(), blk.val.tolist()):
+            col_sums[c] += v
+            row_sums[r] += v
+        assert rep.norm_1to1 == max(col_sums)
+        assert rep.norm_adj_1to1 == max(row_sums)
+        assert rep.nnz == blk.nnz == len(blk.row) == len(blk.col)
         assert rep.bound_2to2 == math.sqrt(rep.norm_1to1 * rep.norm_adj_1to1)
         assert rep.bound_2to2_sq == rep.norm_1to1 * rep.norm_adj_1to1
+
+
+def _pair_lists(decomp, fam):
+    """(zs, ws, (row, col, val)) for every block and both flat pair lists."""
+    out = [(blk.zs, blk.ws, (blk.row, blk.col, blk.val)) for blk in fam.blocks.values()]
+    for meds in (decomp.starred(), decomp.small_gap):
+        z2 = _coords(meds)
+        out.append((meds, meds, _window_pairs(z2, z2, decomp.locality)))
+    return out
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.45])
+@pytest.mark.parametrize("n", [25, 97, 1105, 5525, 160225])
+def test_schur_pairs_match_dense_oracle(n, epsilon):
+    """Every COO pair list equals the dense kernel entry by entry: the same
+    (row, col) set in row-major order and bitwise-equal values."""
+    decomp, fam = _family(n, epsilon)
+    for zs, ws, (row, col, val) in _pair_lists(decomp, fam):
+        flat = row * len(zs) + col
+        assert np.all(np.diff(flat) > 0)  # row-major, no repeated pair
+        step = 256  # bounds the oracle's rows x cols arrays
+        for lo in range(0, max(len(ws), 1), step):
+            mat, nnz = block_matrix(zs, ws[lo:lo + step], decomp.locality)
+            r, c = np.nonzero(mat)
+            sel = (row >= lo) & (row < lo + step)
+            assert len(r) == nnz == np.count_nonzero(sel)
+            assert np.array_equal(row[sel] - lo, r) and np.array_equal(col[sel], c)
+            assert np.array_equal(val[sel].view(np.uint64), mat[r, c].view(np.uint64))
+
+
+def test_schur_empty_pair_sets():
+    """An empty small-gap set and blocks with no pair in the window give
+    empty COO arrays, zero norms and a zero quadratic form."""
+    decomp, fam = _family(97, 0.1)
+    assert decomp.small_gap == ()
+    row, col, val = _window_pairs(_coords(()), _coords(()), decomp.locality)
+    assert row.size == col.size == val.size == 0
+    bz = {m.z2: 1.0 + 0j for m in decomp.starred()}
+    assert bilinear_form_bound(bz, decomp, fam).lhs_small_gap == 0.0
+    decomp, fam = _family(160225, 0.1)
+    empty = [key for key, blk in fam.blocks.items() if blk.nnz == 0]
+    assert empty
+    reports = schur_norms(fam)
+    for key in empty:
+        assert reports[key].norm_1to1 == reports[key].norm_adj_1to1 == 0.0
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 0.25, 0.45])
+@pytest.mark.parametrize("n", [1105, 5525, 160225])
+def test_schur_columns_match_window_scan(n, epsilon):
+    """Column z of block (K, L) holds exactly the w in S_L with
+    |w - z| < lambda^epsilon, counted by an independent integer scan."""
+    decomp, fam = _family(n, epsilon)
+    for (K, L), blk in fam.blocks.items():
+        counts = np.bincount(blk.col, minlength=len(blk.zs))
+        assert counts.tolist() == [shell_window_count(decomp, z, L) for z in blk.zs]
+
+
+@pytest.mark.parametrize("n", [160225, 48612265])  # #E = 96 and 256
+def test_schur_memory_is_bounded(n):
+    """The Schur family, its norms and the bilinear bound stay within
+    16 MiB of traced allocations: no (rows x cols) or (M x M) array."""
+    decomp = dyadic_decompose(build_median_set(enumerate_circle(n)))
+    bz = {m.z2: 1.0 + 0j for m in decomp.starred() + decomp.small_gap}
+    tracemalloc.start()
+    try:
+        fam = schur_family(decomp)
+        schur_norms(fam)
+        rep = bilinear_form_bound(bz, decomp, fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert abs(rep.lhs_starred - rep.lhs_starred_blocked) <= 1e-12 * rep.lhs_starred
 
 
 def test_bilinear_single_median():
