@@ -37,6 +37,7 @@ class SignChangeReport:
     grid_levels: int
     stable: bool
     counts_per_level: tuple[int, ...] = ()
+    intervals: int = 0  # interval count of the finest grid walked
 
     def validate(self, fn) -> bool:
         """Re-evaluate every bracket independently."""
@@ -105,6 +106,7 @@ def certified_sign_changes(
         grid_levels=len(counts),
         stable=stable,
         counts_per_level=tuple(counts),
+        intervals=n,
     )
 
 
@@ -327,7 +329,7 @@ def theorem_harness(
     lam = circle.radius
     rep = count_sign_changes(rw)
     if norms is None:
-        norms = restriction_norms(rw)
+        norms = restriction_norms(rw, signs=rep)
     b = norms.arc_max
     n_zeros = rep.count
     l1_mass = 2.0 * math.pi * norms.l1 / math.sqrt(rw.F.sum_sq)  # l1 / ||F||_2

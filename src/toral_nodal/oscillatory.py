@@ -1,12 +1,18 @@
 """Oscillation-aware quadrature, restriction norms, and the dyadic Schur
 machinery over median shells.
 
-Quadrature is composite Simpson over the shared dyadic cascade
+Oscillatory integrals are composite Simpson over the shared dyadic cascade
 (:func:`wavefield.dyadic_levels`) until two successive estimates agree; the
 initial spacing resolves the oscillation rate (at least four nodes per
-radian of phase).  All four restriction norms are computed from one
-shared grid, so the Holder chain between them is a discrete identity and
-any violation beyond rounding indicates a bug, not quadrature error.
+radian of phase).
+
+The restriction norms are Gauss-Legendre sums between the certified zeros
+of f: the arc is cut at the sign-change brackets of the zero count, each
+segment into panels of at most two radians of phase, and f, f^2 and f^4
+are integrated in the curve's own parameter on the same nodes.  f keeps
+one sign on a segment, so int |f| is the sum of |int f| over segments and
+every integrand is smooth: the sums converge spectrally, where a uniform
+grid converges only quadratically at the kinks of |f|.
 
 The Schur blocks are sparse: one cell-list pair finder over the medians'
 integer doubled coordinates yields the pairs inside the lambda^epsilon
@@ -16,9 +22,10 @@ bilinear sum is computed from those triplets in O(M + nnz) memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +36,17 @@ from .medians import DyadicShellDecomposition, Median
 from .wavefield import (RestrictedWave, _simpson_weights, dyadic_levels,
                         first_level)
 
+if TYPE_CHECKING:
+    from .nodal import SignChangeReport
+
 NODE_CAP_OSC = 1 << 22
-NODE_CAP_NORM = (1 << 20) + 1  # 2^20 intervals
+# Gauss-Legendre nodes of one restriction-norm level; the first level
+# always runs, and the cascade stops before a level would exceed the cap.
+NODE_CAP_NORM = (1 << 20) + 1
+
+_GL_ORDER = 16
+_SIGN_NOISE = 1e-12  # |f| below this times sum |a| carries no sign
+_POLISH_ROUNDS = 40  # bisection halvings of a sup bracket
 
 
 @dataclass(frozen=True)
@@ -135,7 +151,9 @@ class NormReport:
     length: float
     lam: float
     arc_max: int
-    nodes: int
+    nodes: int  # Gauss-Legendre nodes evaluated, over all levels
+    levels: int
+    error_estimate: float  # largest relative move of l1, l2^2, l4^4 in the last level
 
     @property
     def l2_sq(self) -> float:
@@ -159,55 +177,148 @@ def _holder_audit(l1, l2sq, l4q, lsup, L):
         raise InvariantViolation("L2 <= L1^(1/3) L4^(2/3) interpolation violated")
 
 
+def _panel_counts(lam: float, tb: np.ndarray) -> np.ndarray:
+    """Panels per segment between arc-length breakpoints tb: lambda * h <= 2."""
+    return np.maximum(1, np.ceil(0.5 * lam * np.diff(tb))).astype(np.int64)
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-1, 1], built on first use: the eigenvalue
+    solve behind them would cost every command that never integrates."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
+def _gl_nodes(rw: RestrictedWave, ub: np.ndarray, panels: np.ndarray):
+    """Weights and values of f on panels[j] equal u-panels of 16-point
+    Gauss-Legendre over each segment [ub[j], ub[j+1]], shaped (panels, 16);
+    the weights carry the speed |p'(u)|, so they integrate in arc length."""
+    x, wx = _gauss_legendre()
+    seg = np.repeat(np.arange(len(panels)), panels)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
+    du = (np.diff(ub) / panels)[seg]
+    u = (ub[seg] + (k + 0.5) * du)[:, None] + (0.5 * du)[:, None] * x
+    speed = np.linalg.norm(rw.curve.spec.d1(u), axis=-1)
+    return (0.5 * du)[:, None] * wx * speed, rw.value_at_param(u)
+
+
+def _split_mixed(rw, tb, mixed, split, intervals):
+    """Cut every mixed segment at the brackets of a sign-change run on a
+    grid twice as fine as the count's; a segment already cut out of a
+    mixed one may not be mixed again."""
+    from . import nodal  # nodal imports this module
+
+    if np.any(mixed & split):
+        j = int(np.flatnonzero(mixed & split)[0])
+        raise InvariantViolation(
+            f"f changes sign inside [{tb[j]}, {tb[j + 1]}] between certified zeros")
+    rate = intervals / (4.0 * rw.curve.length)
+    cuts = [0.5 * (lo + hi)
+            for j in np.flatnonzero(mixed)
+            for lo, hi in nodal.certified_sign_changes(
+                rw.value, tb[j], tb[j + 1], rate=rate).brackets]
+    new_tb = np.union1d(tb, cuts)
+    parent = np.searchsorted(tb, new_tb[:-1], side="right") - 1
+    return new_tb, (mixed | split)[parent]
+
+
+def _sup(rw: RestrictedWave, intervals: int, node_max: float) -> float:
+    """sup |f|: the count's finest grid, each grid-local max within the
+    certified margin 1/2 (lambda^2 + lambda kappa_max) sum|a| h^2 of the
+    grid max polished by bisecting the sign of d/du |f| in u, and the
+    Gauss-Legendre nodes' max."""
+    t, f = rw.grid_values(intervals)
+    af = np.abs(f)
+    top = float(af.max())
+    h = rw.curve.length / intervals
+    lam = rw.lam
+    margin = 0.5 * (lam * lam + lam * rw.curve.kmax) * rw.F.sum_abs * h * h
+    pad = np.pad(af, 1, constant_values=-np.inf)
+    cand = np.flatnonzero((af >= top - margin) & (af >= pad[:-2]) & (af >= pad[2:]))
+    ends = np.concatenate([np.maximum(cand - 1, 0), np.minimum(cand + 1, intervals)])
+    u = rw.curve.u_of_t(t[ends])
+    sgn = np.sign(f[cand])
+    slope = np.tile(sgn, 2) * rw.derivative_at_param(u)
+    k = len(cand)
+    live = (slope[:k] > 0.0) & (slope[k:] < 0.0)  # |f| rises into the bracket, then falls
+    lo, hi, sgn = u[:k][live], u[k:][live], sgn[live]
+    polished = 0.0
+    if len(lo):
+        for _ in range(_POLISH_ROUNDS):
+            mid = 0.5 * (lo + hi)
+            up = sgn * rw.derivative_at_param(mid) > 0.0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        polished = float(np.max(np.abs(rw.value_at_param(0.5 * (lo + hi)))))
+    return max(top, polished, node_max)
+
+
 def restriction_norms(
     rw: RestrictedWave,
     fourier_check: bool = False,
     tol: float = 1e-9,
-    l1_tol: float = 1e-7,
+    signs: SignChangeReport | None = None,
 ) -> NormReport:
-    """L1, L2, L4 and sup of |f| along the curve, from one shared grid.
+    """L1, L2, L4 and sup of |f| along the curve, by Gauss-Legendre between
+    certified zeros.
 
-    Node spacing starts below 1/(8 lambda) (at least eight nodes per
-    oscillation) and doubles until the smooth moments (f^2, f^4) move by
-    less than tol relatively and the kinked one (|f|) by less than l1_tol;
-    |f| converges a Simpson order slower at each zero crossing, and
-    nothing downstream needs it tighter.  The sup is the grid max polished
-    by one parabolic refinement.  With fourier_check=True, the L2 mass is
-    re-derived from the frequency side as sum a_mu conj(a_nu) I(mu - nu)
-    and must agree to 1e-6 relative.
+    signs is ``nodal.count_sign_changes(rw)``, computed here when not
+    given.  The breakpoints 0, its bracket midpoints and L split the arc
+    into segments on which f keeps one sign; each segment gets
+    ceil(lambda * s / 2) equal panels in the curve parameter u (about two
+    radians of phase each, s its arc length) of 16-point Gauss-Legendre,
+    and int |f| = sum over segments of |int f|, with int f^2 and int f^4
+    from the same nodes.  The panel counts double on the dyadic cascade
+    until l1, l2^2 and l4^4 all move by less than tol relatively; the
+    breakpoints are mapped to u once, so no node needs arc-length
+    inversion.  A segment whose nodes disagree in sign beyond rounding
+    hides a zero pair inside one cell of the count's grid: it is cut again
+    at the zeros of a finer sign-change run, and InvariantViolation is
+    raised if its pieces are still mixed.  The sup is described in
+    :func:`_sup`.  With fourier_check=True, the L2 mass is re-derived from
+    the frequency side as sum a_mu conj(a_nu) I(mu - nu) and must agree to
+    1e-6 relative.
     """
+    from . import nodal  # nodal imports this module
+
     L = rw.curve.length
     lam = rw.lam
-    prev = None
-    for n in dyadic_levels(first_level(8.0 * lam * L), NODE_CAP_NORM):
-        t, f = rw.grid_values(n)
-        w = _simpson_weights(n, L / n)
-        af = np.abs(f)
-        l1 = float(w @ af)
-        l2sq = float(w @ (f * f))
-        l4q = float(w @ (f**4))
-        cur = (l1, l2sq, l4q)
-        if prev is not None and (
-            abs(cur[0] - prev[0]) <= l1_tol * max(1.0, cur[0])
-            and abs(cur[1] - prev[1]) <= tol * max(1.0, cur[1])
-            and abs(cur[2] - prev[2]) <= tol * max(1.0, cur[2])
-        ):
-            break
+    if signs is None:
+        signs = nodal.count_sign_changes(rw)
+    tb = np.array([0.0, *(0.5 * (lo + hi) for lo, hi in signs.brackets), L])
+    ub = rw.curve.u_of_t(tb)
+    split = np.zeros(len(tb) - 1, dtype=bool)
+    noise = _SIGN_NOISE * rw.F.sum_abs
+    n0 = _GL_ORDER * int(_panel_counts(lam, tb).sum())
+    prev, nodes, levels, err = None, 0, 0, math.inf
+    for n in dyadic_levels(n0, NODE_CAP_NORM):
+        while True:
+            panels = (n // n0) * _panel_counts(lam, tb)
+            w, f = _gl_nodes(rw, ub, panels)
+            nodes += f.size
+            starts = np.cumsum(panels) - panels
+            mixed = ((np.maximum.reduceat(f.max(axis=1), starts) > noise)
+                     & (np.minimum.reduceat(f.min(axis=1), starts) < -noise))
+            if not mixed.any():
+                break
+            tb, split = _split_mixed(rw, tb, mixed, split, signs.intervals)
+            ub = rw.curve.u_of_t(tb)
+            prev = None
+        wf2 = w * f * f
+        cur = np.array([np.sum(np.abs(np.add.reduceat(np.sum(w * f, axis=1), starts))),
+                        np.sum(wf2), np.sum(wf2 * f * f)])
+        levels += 1
+        if prev is not None:
+            err = float(np.max(np.abs(cur - prev) / cur))
+            if err <= tol:
+                break
         prev = cur
     else:
         raise QuadratureError(
             f"restriction norms did not stabilize within {NODE_CAP_NORM} nodes")
 
-    i = int(np.argmax(af))
-    lsup = float(af[i])
-    if 0 < i < len(t) - 1:
-        # parabolic vertex through the three points around the grid max
-        y0, y1, y2 = af[i - 1], af[i], af[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            dt = 0.5 * (y0 - y2) / denom * (t[1] - t[0])
-            tv = float(np.clip(t[i] + dt, 0.0, L))
-            lsup = max(lsup, float(abs(rw.value(tv))))
+    l1, l2sq, l4q = (float(v) for v in cur)
+    lsup = _sup(rw, signs.intervals, float(np.max(np.abs(f))))
     _holder_audit(l1, l2sq, l4q, lsup, L)
 
     if fourier_check:
@@ -219,7 +330,8 @@ def restriction_norms(
 
     return NormReport(
         l1=l1, l2=math.sqrt(l2sq), l4=l4q**0.25, lsup=lsup,
-        length=L, lam=lam, arc_max=chord_arc_max(rw.F.circle), nodes=n + 1)
+        length=L, lam=lam, arc_max=chord_arc_max(rw.F.circle), nodes=nodes,
+        levels=levels, error_estimate=err)
 
 
 def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:

@@ -16,10 +16,11 @@ unity in the sign-change module) is pinned to one profile so independent
 runs are bit-comparable: theta(x) = 1 on |x| <= 1, 0 on |x| >= 2, and
 b(|x| - 1) on the ramp, with b the bump of :func:`_bump`.
 
-Every grid refinement in the package (oscillatory integrals, restriction
-norms, sign-change counts) walks the same dyadic cascade: it starts at
-:func:`first_level` and doubles through :func:`dyadic_levels` until its own
-stopping test passes or the next grid would exceed its node cap.
+Every refinement in the package (oscillatory integrals, restriction norms,
+sign-change counts) walks the same dyadic cascade: it doubles through
+:func:`dyadic_levels`, from :func:`first_level` for the uniform grids,
+until its own stopping test passes or the next level would exceed its node
+cap.
 """
 
 from __future__ import annotations
@@ -339,6 +340,16 @@ class RestrictedWave:
         t = np.asarray(t, dtype=float)
         return _half_plane_sum(self.F, self.curve.gamma(t), self.curve.tangent(t))
 
+    def value_at_param(self, u) -> np.ndarray:
+        """F(p(u)) in the curve's own parameter u: no arc-length inversion."""
+        return evaluate(self.F, self.curve.spec.point(np.asarray(u, dtype=float)))
+
+    def derivative_at_param(self, u) -> np.ndarray:
+        """d/du F(p(u)), the gradient of F along p'(u)."""
+        u = np.asarray(u, dtype=float)
+        spec = self.curve.spec
+        return _half_plane_sum(self.F, spec.point(u), spec.d1(u))
+
     def grid_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(t, f) on the cached uniform n+1-node grid over [0, L].
 
@@ -563,10 +574,11 @@ def first_level(x: float, floor: int = 64) -> int:
 
 
 def dyadic_levels(n0: int, node_cap: int) -> Iterator[int]:
-    """Interval counts n0, 2*n0, 4*n0, ... of a grid-doubling refinement.
+    """Sizes n0, 2*n0, 4*n0, ... of a doubling refinement: the interval
+    counts of a uniform grid, or the node counts of a panel quadrature.
 
-    The first level always runs; the cascade ends once the next grid's
-    n + 1 nodes would exceed node_cap.  Callers break out on their own
+    The first level always runs; the cascade ends once the next level's
+    size plus one would exceed node_cap.  Callers break out on their own
     stopping test, so running off the end means the cap was hit.
     """
     n = n0

@@ -122,7 +122,8 @@ def test_exit_code_io_error(tmp_path):
 
 
 def test_exit_code_node_cap(tmp_path, monkeypatch, capsys):
-    # 65 nodes admit only the first 64-interval level, so no norm can settle
+    # a 65-node cap admits only the first Gauss-Legendre level (16 nodes per
+    # panel, several panels), so no norm has a second level to settle against
     monkeypatch.setattr("toral_nodal.oscillatory.NODE_CAP_NORM", 65)
     out = tmp_path / "cap.jsonl"
     assert main(["sweep", "--n", "25", "--out", str(out)]) == 5

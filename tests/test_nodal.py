@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import analytic_crossing_count
 
 from toral_nodal.curve import CircularArc, make_arclength, phase
+from toral_nodal.fixtures import circular_fixture
 from toral_nodal.lattice import enumerate_circle
 from toral_nodal.nodal import (build_partition, certified_sign_changes,
                                count_sign_changes, partition_experiment,
@@ -195,3 +197,18 @@ def test_theorem_harness_random_row(circ):
     assert rec.ratio_zeros_arcmax > 0.0
     assert rec.ratio_zeros_l1mass > 0.0
     assert math.isfinite(rec.ratio_l4_arcmax)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_theorem_harness_memory_bounded(seed):
+    # a fresh curve, so its grid cache is allocated inside the traced run
+    F = make_eigenfunction(enumerate_circle(160225), UniformRandom(seed=seed))
+    rw = restrict(F, circular_fixture())
+    tracemalloc.start()
+    try:
+        rec = theorem_harness(rw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.zeros > 0
+    assert peak < 8 * 2**20

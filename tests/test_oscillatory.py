@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import block_matrix
+from helpers import block_matrix, reference_norms
 
-from toral_nodal.errors import QuadratureError
+from toral_nodal.errors import InvariantViolation, QuadratureError
 from toral_nodal.lattice import enumerate_circle
 from toral_nodal.medians import (build_median_set, dyadic_decompose, median_dist,
                                  shell_window_count)
+from toral_nodal.nodal import count_sign_changes
 from toral_nodal.oscillatory import (_coords, _window_pairs, bilinear_form_bound,
                                      fourier_l2_sq, l2_ratio, l4_vs_B,
                                      osc_integral, restriction_norms,
@@ -118,6 +119,12 @@ class ConstantWave:
         t = np.linspace(0.0, self.curve.length, n + 1)
         return t, self.value(t)
 
+    def value_at_param(self, u):
+        return np.ones_like(np.asarray(u, dtype=float))
+
+    def derivative_at_param(self, u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
 
 def test_norms_constant_probe(circ):
     rep = restriction_norms(ConstantWave(circ))
@@ -182,6 +189,116 @@ def test_l4_ratio(circle25, circ):
     rw = restrict(F, circ)
     l44, b, ratio = l4_vs_B(rw)
     assert b == 2 and ratio == pytest.approx(l44 / 2)
+
+
+NORM_CASES = ([(fx, 27625, seed) for fx in ("circ", "ell", "cub") for seed in (0, 1, 2)]
+              + [("circ", 160225, seed) for seed in (0, 1)])
+
+
+@pytest.mark.parametrize("fixture,n,seed", NORM_CASES)
+def test_norms_match_zero_split_reference(fixture, n, seed, request):
+    curve = request.getfixturevalue(fixture)
+    F = make_eigenfunction(enumerate_circle(n), UniformRandom(seed=seed))
+    rep = restriction_norms(restrict(F, curve))
+    l1, l2, l4 = reference_norms(F, curve.spec)
+    assert rep.l1 == pytest.approx(l1, rel=1e-10)
+    assert rep.l2 == pytest.approx(l2, rel=1e-10)
+    assert rep.l4 == pytest.approx(l4, rel=1e-10)
+    assert rep.levels >= 2 and rep.error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("shift", np.linspace(0.0, math.pi, 7))
+def test_norms_single_pair_sup_closed_form(circle25, circ, shift):
+    # f = sqrt(2) cos(psi(u)), psi = <(3, 4), p(u)> + shift = 21 + 5 cos(u - theta0)
+    # + shift on the unit circle about (3, 3): sup |f| is sqrt(2) if psi
+    # crosses a multiple of pi, else sqrt(2) |cos| at an end of psi's range
+    F = make_eigenfunction(circle25, SinglePair(mu=(3, 4), phase=float(shift)))
+    rep = restriction_norms(restrict(F, circ))
+    spec = circ.spec
+    theta0 = math.atan2(4.0, 3.0)
+    assert spec.angle0 < theta0 < spec.angle1
+    psi_max = 26.0 + shift
+    psi_min = 21.0 + 5.0 * min(math.cos(spec.angle0 - theta0),
+                               math.cos(spec.angle1 - theta0)) + shift
+    if math.floor(psi_max / math.pi) * math.pi >= psi_min:
+        sup = math.sqrt(2.0)
+    else:
+        sup = math.sqrt(2.0) * max(abs(math.cos(psi_min)), abs(math.cos(psi_max)))
+    assert abs(rep.lsup - sup) <= 1e-12
+
+
+class ZeroPairProbe:
+    """f(t) = K ((t - c)^2 - d^2) on the unit-radius circle fixture, where
+    u = angle0 + t: two zeros c -+ d, which the caller places inside one
+    cell of the zero count's finest grid, around a node of the first
+    Gauss-Legendre level."""
+
+    def __init__(self, curve, lam, c, d, scale=1.0):
+        assert curve.spec.radius == 1.0
+        self.curve, self.lam, self.c, self.d, self.scale = curve, lam, c, d, scale
+        self.F = make_eigenfunction(enumerate_circle(25), SinglePair(mu=(5, 0)))
+        self.u0 = curve.spec.angle0
+
+    def value(self, t):
+        return self.scale * ((np.asarray(t, dtype=float) - self.c) ** 2 - self.d**2)
+
+    def grid_values(self, n):
+        t = np.linspace(0.0, self.curve.length, n + 1)
+        return t, self.value(t)
+
+    def value_at_param(self, u):
+        return self.value(np.asarray(u, dtype=float) - self.u0)
+
+    def derivative_at_param(self, u):
+        return 2.0 * self.scale * (np.asarray(u, dtype=float) - self.u0 - self.c)
+
+    def l1(self):
+        c, d, L = self.c, self.d, self.curve.length
+
+        def prim(t):
+            return (t - c) ** 3 / 3.0 - d * d * t
+
+        inner = prim(c + d) - prim(c - d)
+        return self.scale * (prim(L) - prim(0.0) - 2.0 * inner)
+
+
+def _hidden_pair(curve, lam, spacing):
+    """A first-level Gauss-Legendre node of a zero-free arc (ceil(lam L / 2)
+    equal panels) as far as possible from the grid of the given spacing,
+    and that distance."""
+    L = curve.length
+    panels = math.ceil(0.5 * lam * L)
+    x, _ = np.polynomial.legendre.leggauss(16)
+    h = L / panels
+    nodes = ((np.arange(panels) + 0.5) * h)[:, None] + 0.5 * h * x
+    gap = np.abs(nodes - spacing * np.round(nodes / spacing)).ravel()
+    i = int(np.argmax(gap))
+    return float(nodes.ravel()[i]), float(gap[i])
+
+
+def test_norms_split_zero_pair_hidden_in_one_cell(circ):
+    lam = 20.0
+    probe = ZeroPairProbe(circ, lam, 0.0, 0.0)
+    h = circ.length / count_sign_changes(probe).intervals
+    c, gap = _hidden_pair(circ, lam, h)
+    probe = ZeroPairProbe(circ, lam, c, 0.9 * gap)
+    assert probe.d > h / 4  # a grid twice as fine as the count's sees the pair
+    rep = count_sign_changes(probe)
+    assert rep.count == 0 and circ.length / rep.intervals == h
+    norms = restriction_norms(probe, signs=rep)
+    assert norms.l1 == pytest.approx(probe.l1(), rel=1e-12)
+
+
+def test_norms_refuse_unresolved_zero_pair(circ):
+    lam = 20.0
+    probe = ZeroPairProbe(circ, lam, 0.0, 0.0)
+    h = circ.length / count_sign_changes(probe).intervals
+    c, gap = _hidden_pair(circ, lam, h / 8)  # off every grid a finer run walks
+    d = min(0.5 * gap, 1e-5)
+    assert d < h / 16
+    probe = ZeroPairProbe(circ, lam, c, d, scale=100.0)
+    with pytest.raises(InvariantViolation, match="changes sign"):
+        restriction_norms(probe)
 
 
 # -- Schur machinery ---------------------------------------------------------------
