@@ -34,7 +34,8 @@ from .counterexamples import (continued_fraction_approximants,
                               rational_geodesic_eigenfunction)
 from .errors import ConfigError, InvariantViolation, QuadratureError
 from .fixtures import curve_from_config, model_from_config
-from .lattice import (arclog_bound_audit, cc_product_check, enumerate_circle,
+from .lattice import (INT64_N_MAX, CircleBlock, LatticeCircle,
+                      arclog_bound_audit, cc_product_check, enumerate_circle,
                       jarnik_audit, max_arc_count, representable_up_to)
 from .medians import build_median_set, dyadic_decompose
 from .nodal import theorem_harness
@@ -233,41 +234,58 @@ def _config_digest(cfg: ExperimentConfig) -> str:
 
 # -- row builders -----------------------------------------------------------------
 
+LATTICE_CHUNK = 512  # circles per audit call
+
+
 def lattice_rows(cfg: ExperimentConfig) -> list[dict]:
     wanted = set(cfg.n_values)
-    rows = []
+    if max(wanted) > INT64_N_MAX:
+        raise ConfigError(f"lattice audits are exact in int64 only for n <= {INT64_N_MAX}")
+    rows: list[dict] = []
+    chunk: list[LatticeCircle] = []
     for circle in representable_up_to(max(wanted)):
-        if circle.n not in wanted:
-            continue
-        b, witness = max_arc_count(circle)
-        jmax, _ = jarnik_audit(circle)
-        if circle.radius >= 2.0:
-            m, bound, ok = arclog_bound_audit(circle)
-        else:
-            m, bound, ok = None, None, None
-        size = min(cfg.cc_max_subset, circle.count)
-        cc_ok = True
-        if size >= 2:
-            pts = circle.points
-            for start in range(circle.count):
-                subset = [pts[(start + j) % circle.count] for j in range(size)]
-                cc_product_check(subset, circle.n)
-        row = {
+        if circle.n in wanted:
+            chunk.append(circle)
+        if len(chunk) == LATTICE_CHUNK:
+            rows += _lattice_chunk_rows(cfg, chunk)
+            chunk = []
+    if chunk:
+        rows += _lattice_chunk_rows(cfg, chunk)
+    return rows
+
+
+def _lattice_chunk_rows(cfg: ExperimentConfig, chunk: list[LatticeCircle]) -> list[dict]:
+    """Rows for a run of circles in increasing n, one audit call per kernel."""
+    block = CircleBlock.of(chunk)
+    b, centers = max_arc_count(block)
+    jmax, _ = jarnik_audit(block)
+    # the arclog audit needs lambda >= 2, which only n = 1, 2 (first) lack
+    small = sum(c.n < 4 for c in chunk)
+    arclog = [(None, None, None)] * small
+    if small < len(chunk):
+        m, bound, ok = arclog_bound_audit(CircleBlock.of(chunk[small:]) if small else block)
+        arclog += zip(m.tolist(), bound.tolist(), ok.tolist())
+    sizes = np.minimum(cfg.cc_max_subset, block.count)
+    for size in np.unique(sizes[sizes >= 2]).tolist():
+        cc_product_check(*block.windows(size, sizes == size))
+    rows = []
+    for circle, bi, center, ji, (m, bound, ok) in zip(
+            chunk, b.tolist(), centers.tolist(), jmax.tolist(), arclog):
+        rows.append({
             "kind": "lattice",
             "n": circle.n,
             "lambda": circle.radius,
             "npoints": circle.count,
-            "arc_max": b,
-            "witness_center": witness.center_angle,
-            "jarnik_max": jmax,
-            "jarnik_ok": jmax <= 2,
+            "arc_max": bi,
+            "witness_center": center,
+            "jarnik_max": ji,
+            "jarnik_ok": ji <= 2,
             "arclog_m": m,
             "arclog_bound": bound,
             "arclog_ok": ok,
-            "cc_ok": cc_ok,
-            "arcmax_over_log": b / max(math.log(circle.radius), 1.0),
-        }
-        rows.append(row)
+            "cc_ok": True,
+            "arcmax_over_log": bi / max(math.log(circle.radius), 1.0),
+        })
     return rows
 
 
@@ -409,23 +427,17 @@ def _resolve_out(cfg: ExperimentConfig) -> Path:
     return outdir / f"{cfg.command}.jsonl"
 
 
-def _jsonable(row: dict) -> dict:
-    out = {}
+def _jsonable(row: dict) -> None:
+    """Replace numpy scalars in a row by Python values, in place."""
     for k, v in row.items():
-        if isinstance(v, np.integer):
-            v = int(v)
-        elif isinstance(v, np.floating):
-            v = float(v)
-        elif isinstance(v, np.bool_):
-            v = bool(v)
-        out[k] = v
-    return out
+        if isinstance(v, (np.integer, np.floating, np.bool_)):
+            row[k] = v.item()
 
 
 def write_rows(cfg: ExperimentConfig, rows: list[dict],
                summary: dict | None = None) -> Path:
-    rows = [_jsonable(row) for row in rows]
     for row in rows:
+        _jsonable(row)
         validate_row(cfg.command, row)
     out = _resolve_out(cfg)
     out.parent.mkdir(parents=True, exist_ok=True)

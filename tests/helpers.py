@@ -110,3 +110,57 @@ def reference_norms(F, spec, scan=64):
         l2sq += float(np.sum(w * fv**2))
         l4q += float(np.sum(w * fv**4))
     return l1, math.sqrt(l2sq), l4q**0.25
+
+
+# -- scalar lattice oracles: the per-circle loops the block kernels replaced --
+
+def scalar_max_window_count(angles, width, tie_tol=1e-12):
+    """Max number of angles inside a closed circular window of the given
+    angular width, and the index of the first window's leading point, by a
+    two-pointer sweep over the angles and their copies shifted by 2*pi."""
+    m = len(angles)
+    if width >= 2.0 * math.pi:
+        return m, 0
+    ext = list(angles) + [a + 2.0 * math.pi for a in angles]
+    best, best_i = 0, 0
+    j = 0
+    for i in range(m):
+        if j < i:
+            j = i
+        while j < i + m and ext[j] - ext[i] <= width + tie_tol:
+            j += 1
+        if j - i > best:
+            best, best_i = j - i, i
+    return best, best_i
+
+
+def scalar_arclog_run(circle):
+    """Longest angularly contiguous run of points of diameter < sqrt(lambda)/2
+    (exactly: 16*d2^2 < n between its extremes, with a 1-radian guard)."""
+    m_pts, n = circle.count, circle.n
+    ext_pts = list(circle.points) * 2
+    ext_ang = list(circle.angles) + [a + 2.0 * math.pi for a in circle.angles]
+    best = 1
+    j = 0
+    for i in range(m_pts):
+        if j < i:
+            j = i
+        while j + 1 < i + m_pts:
+            p, q = ext_pts[i], ext_pts[j + 1]
+            d2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+            if 16 * d2 * d2 < n and ext_ang[j + 1] - ext_ang[i] < 1.0:
+                j += 1
+            else:
+                break
+        best = max(best, j - i + 1)
+    return best
+
+
+def scalar_pair_product_log(points):
+    """log prod_{i<j} |P_i - P_j|, one pair at a time."""
+    total = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            d2 = (points[i][0] - points[j][0]) ** 2 + (points[i][1] - points[j][1]) ** 2
+            total += 0.5 * math.log(d2)
+    return total

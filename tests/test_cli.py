@@ -7,6 +7,7 @@ import pytest
 from toral_nodal.cli import (SCHEMAS, derive_seed, main, parse_n_spec,
                              validate_row)
 from toral_nodal.errors import ConfigError
+from toral_nodal.lattice import INT64_N_MAX
 
 
 def read_jsonl(path):
@@ -37,6 +38,13 @@ def test_lattice_range_row_count(tmp_path):
     assert len(rows) == 42  # representable n in the half-open range [1, 100)
     assert all(r["jarnik_ok"] and r["cc_ok"] for r in rows)
     assert out.with_suffix(".csv").exists()
+
+
+def test_lattice_refuses_n_beyond_int64_range(tmp_path, capsys):
+    out = tmp_path / "lat.jsonl"
+    assert main(["lattice", "--n", str(INT64_N_MAX + 1), "--out", str(out)]) == 3
+    assert "int64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lattice_empty_range(tmp_path):
@@ -189,3 +197,24 @@ def test_row_schema_strictness():
 def test_every_schema_has_kind_field():
     for (command, kind), schema in SCHEMAS.items():
         assert schema["kind"] is str
+
+
+def test_compare_rows_script(tmp_path, capsys):
+    import runpy
+    compare = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "compare_rows.py"))
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["lattice", "--n", "1..30", "--out", str(a)]) == 0
+    assert main(["lattice", "--n", "1..30", "--out", str(b)]) == 0
+    assert compare["main"]([str(a), str(b)]) == 0  # headers differ by timestamp
+    lines = b.read_text().splitlines()
+    row = json.loads(lines[3])
+    row["witness_center"] *= 1.0 + 1e-9
+    row["arc_max"] += 1
+    lines[3] = json.dumps(row, sort_keys=True)
+    b.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert compare["main"]([str(a), str(b)]) == 1
+    report = capsys.readouterr().out
+    assert "1 byte-different" in report
+    assert "witness_center: max relative difference 1.000e-09" in report
+    assert "field arc_max: 1 rows changed" in report

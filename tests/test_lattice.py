@@ -1,10 +1,20 @@
+import functools
 import math
+import pickle
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toral_nodal.lattice import (ArcWindow, arclog_bound_audit, cc_exponent,
+from helpers import scalar_arclog_run, scalar_max_window_count, scalar_pair_product_log
+
+from toral_nodal import lattice
+from toral_nodal.errors import InvariantViolation
+from toral_nodal.lattice import (ANGLE_TIE_TOL, INT64_N_MAX, SIEVE_BLOCK,
+                                 ArcWindow, CircleBlock, LatticeCircle,
+                                 arclog_bound_audit, cc_exponent,
                                  cc_product_check, chord_arc_max,
                                  enumerate_circle, jarnik_audit, max_arc_count,
                                  representable_up_to, window_half_width)
@@ -74,6 +84,16 @@ def test_sieve_matches_per_n_scan():
             assert sieved[n] == direct.points
         else:
             assert n not in sieved
+
+
+def test_sieved_circle_equals_enumerated_circle():
+    sieved = {c.n: c for c in representable_up_to(1105)}[1105]
+    direct = enumerate_circle(1105)
+    assert sieved == direct and hash(sieved) == hash(direct)
+    assert repr(sieved) == repr(direct)
+    assert pickle.loads(pickle.dumps(sieved)) == direct
+    with pytest.raises(AttributeError):
+        sieved.n = 5
 
 
 def test_chord_window_counts_match_oracle():
@@ -210,3 +230,183 @@ def test_window_half_width_formulas():
     assert window_half_width("length", 25.0, c=2.0) == pytest.approx(2.0 / 10.0)
     with pytest.raises(ValueError):
         ArcWindow(0.0, "diagonal").half_width(4.0)
+
+
+# -- block kernels against the scalar oracles ---------------------------------
+
+ORACLE_N = 20_000
+
+
+@pytest.fixture(scope="module")
+def oracle_circles():
+    return list(representable_up_to(ORACLE_N - 1))
+
+
+def _scalar_window(circle, kind, c=1.0):
+    half = window_half_width(kind, circle.radius, c)
+    count, i = scalar_max_window_count(circle.angles, 2.0 * half)
+    return count, (circle.angles[i] + half) % (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("kind, c, n_max", [("chord", 1.0, ORACLE_N), ("length", 1.3, ORACLE_N),
+                                             ("length", 40.0, 2000)])
+def test_window_kernel_matches_scalar_oracle(oracle_circles, kind, c, n_max):
+    # c = 40 makes the window at least a full turn for n <= 1642
+    circles = [circle for circle in oracle_circles if circle.n < n_max]
+    counts, centers = max_arc_count(CircleBlock.of(circles), kind, c)
+    expected = [_scalar_window(circle, kind, c) for circle in circles]
+    assert list(zip(counts.tolist(), centers.tolist())) == expected
+
+
+def test_jarnik_kernel_matches_scalar_oracle(oracle_circles):
+    counts, centers = jarnik_audit(CircleBlock.of(oracle_circles))
+    expected = [_scalar_window(circle, "length", circle.radius ** (-1.0 / 6.0))
+                for circle in oracle_circles]
+    assert list(zip(counts.tolist(), centers.tolist())) == expected
+
+
+def test_arclog_kernel_matches_scalar_oracle(oracle_circles):
+    circles = [c for c in oracle_circles if c.n >= 4]
+    m, bound, ok = arclog_bound_audit(CircleBlock.of(circles))
+    assert m.tolist() == [scalar_arclog_run(c) for c in circles]
+    assert bound.tolist() == [math.log(c.radius) / (2.0 * math.log(2.0)) + 1.0
+                              for c in circles]
+    assert ok.all()
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+def test_pair_product_kernel_matches_scalar_oracle(oracle_circles, size):
+    # every window of every circle is checked; the scalar oracle recomputes
+    # each circle's first window and its last, which wraps past angle 2*pi
+    block = CircleBlock.of(c for c in oracle_circles if c.count >= size)
+    pts, ns = block.windows(size)
+    res = cc_product_check(pts, ns)
+    assert res.ok.all()
+    rows = np.concatenate([block.start, block.start + block.count - 1])
+    expected = [scalar_pair_product_log(w) for w in pts[rows].tolist()]
+    np.testing.assert_allclose(res.log_lhs[rows], expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        res.log_rhs, [cc_exponent(size) * 0.5 * math.log(n) for n in ns.tolist()],
+        rtol=0, atol=1e-12)
+
+
+def _per_circle(circles):
+    block = CircleBlock.of(circles)
+    big = [c for c in circles if c.n >= 4]
+    four = block.count >= 4
+    return {
+        "chord": [a.tolist() for a in max_arc_count(block)],
+        "length": [a.tolist() for a in max_arc_count(block, "length", 1.3)],
+        "jarnik": [a.tolist() for a in jarnik_audit(block)],
+        "arclog": ([a.tolist() for a in arclog_bound_audit(CircleBlock.of(big))]
+                   if big else [[], [], []]),
+        "cc": cc_product_check(*block.windows(4, four)).log_lhs.tolist(),
+    }
+
+
+@functools.cache
+def _circles_to_3000():
+    return list(representable_up_to(3000))
+
+
+@given(st.integers(0, 400), st.integers(2, 120), st.data())
+def test_splitting_a_chunk_keeps_per_circle_results(first, length, data):
+    circles = _circles_to_3000()[first:first + length]
+    cut = data.draw(st.integers(1, len(circles) - 1))
+    whole = _per_circle(circles)
+    left, right = _per_circle(circles[:cut]), _per_circle(circles[cut:])
+    for key, value in whole.items():
+        if key == "cc":
+            assert value == left[key] + right[key]
+        else:
+            assert value == [a + b for a, b in zip(left[key], right[key])]
+
+
+def test_window_edge_inside_angle_tie_tol(circle25):
+    # the closest pair on n = 25 is (4,3), (3,4); a window short of their
+    # angular gap by less than ANGLE_TIE_TOL still holds both
+    a = circle25.angles
+    gap = a[circle25.points.index((3, 4))] - a[circle25.points.index((4, 3))]
+    scale = math.sqrt(circle25.radius)
+    inside = max_arc_count(circle25, "length", (gap - 0.5 * ANGLE_TIE_TOL) * scale)
+    outside = max_arc_count(circle25, "length", (gap - 2.0 * ANGLE_TIE_TOL) * scale)
+    assert inside[0] == 2 and outside[0] == 1
+    for c in ((gap - 0.5 * ANGLE_TIE_TOL) * scale, (gap - 2.0 * ANGLE_TIE_TOL) * scale):
+        assert max_arc_count(circle25, "length", c)[0] == scalar_max_window_count(
+            a, 2.0 * window_half_width("length", circle25.radius, c))[0]
+
+
+# -- exact pair-product verdicts and the int64 guard ---------------------------
+
+def _cc_windows(n_max):
+    block = CircleBlock.of(representable_up_to(n_max))
+    sizes = np.minimum(6, block.count)
+    for size in range(2, 7):
+        for select in (sizes == size, sizes > size):
+            if select.any():
+                yield block.windows(size, select)
+
+
+def test_exact_pair_product_recheck_keeps_verdicts(monkeypatch):
+    batches = list(_cc_windows(4999))
+    logged = [cc_product_check(pts, ns) for pts, ns in batches]
+    monkeypatch.setattr(lattice, "CC_LOG_MARGIN", math.inf)
+    for (pts, ns), fast in zip(batches, logged):
+        exact = cc_product_check(pts, ns)
+        assert exact.ok.all() and fast.ok.all()
+        assert np.array_equal(exact.log_lhs, fast.log_lhs)
+
+
+@pytest.mark.parametrize("margin", [lattice.CC_LOG_MARGIN, math.inf])
+def test_pair_product_failure_raises_on_both_paths(monkeypatch, margin):
+    monkeypatch.setattr(lattice, "CC_LOG_MARGIN", margin)
+    monkeypatch.setattr(lattice, "cc_exponent", lambda m: 1)
+    # |(3,4) - (4,3)|^2 = 2 < 25 = n^1
+    with pytest.raises(InvariantViolation):
+        cc_product_check([(3, 4), (4, 3)], 25)
+    with pytest.raises(InvariantViolation):
+        cc_product_check(np.array([[[5, 0], [4, 3]], [[3, 4], [4, 3]]]), [25, 25])
+
+
+def test_int64_guard_raises_above_its_bound():
+    assert 256 * INT64_N_MAX**2 < 2**63 <= 256 * (INT64_N_MAX + 1) ** 2
+    x = math.isqrt(INT64_N_MAX // 2) + 1
+    big = LatticeCircle(n=2 * x * x, radius=math.sqrt(2 * x * x),
+                        points=((x, x), (-x, x), (-x, -x), (x, -x)))
+    assert big.n > INT64_N_MAX
+    with pytest.raises(ValueError, match="int64"):
+        arclog_bound_audit(big)
+    # the window counts compare angles only, so they need no bound
+    assert max_arc_count(big)[0] == jarnik_audit(big)[0] == 1
+    with pytest.raises(ValueError, match="int64"):
+        cc_product_check(big.points[:2], big.n)
+    with pytest.raises(ValueError, match="int64"):
+        next(representable_up_to(INT64_N_MAX + 1))
+
+
+def test_batched_pair_product_matches_single_subsets(circle1105):
+    pts, ns = CircleBlock.of([circle1105]).windows(5)
+    batch = cc_product_check(pts, ns)
+    for w, lhs in zip(pts.tolist(), batch.log_lhs.tolist()):
+        single = cc_product_check([tuple(p) for p in w], 1105)
+        assert single.ok is True and single.log_lhs == pytest.approx(lhs, abs=1e-12)
+
+
+# -- sieve memory --------------------------------------------------------------
+
+def test_sieve_memory_is_bounded_by_one_block():
+    # one traced pass to 4*10^5, keeping no circle: the peak after the first
+    # block and after 10^5 bound the peak at the end
+    marks, peaks = [SIEVE_BLOCK, 100_000], []
+    tracemalloc.start()
+    try:
+        for circle in representable_up_to(400_000):
+            if marks and circle.n > marks[0]:
+                marks.pop(0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_block, small = peaks
+    assert large <= small + one_block
+    assert large < 8 * 2**20
