@@ -130,13 +130,11 @@ def derive_seed(master: int, index: int) -> int:
 @dataclass
 class ExperimentConfig:
     command: str
-    n_values: list[int]
+    n_values: list[int] | range
     curve: dict = field(default_factory=lambda: {"fixture": "circular"})
     model: dict = field(default_factory=lambda: {"kind": "uniform-random"})
     master_seed: int = 0
     seed_count: int = 1
-    sigma: float = 0.2
-    c1: float | None = None
     epsilon: float = 0.1
     cc_max_subset: int = 4
     beta: float = math.sqrt(2.0)
@@ -152,17 +150,18 @@ class ExperimentConfig:
     jobs: int = 1
 
 
-def parse_n_spec(spec) -> list[int]:
-    """n values from a list, an 'a..b' half-open range string, or a dict."""
+def parse_n_spec(spec) -> list[int] | range:
+    """n values from a list, an 'a..b' half-open range string, or a dict
+    {"range": [a, b]}; the two range forms stay ranges."""
     if isinstance(spec, list):
         return [int(v) for v in spec]
     if isinstance(spec, dict) and "range" in spec:
         lo, hi = spec["range"]
-        return list(range(int(lo), int(hi)))
+        return range(int(lo), int(hi))
     if isinstance(spec, str):
         if ".." in spec:
             lo, hi = spec.split("..", 1)
-            return list(range(int(lo), int(hi)))
+            return range(int(lo), int(hi))
         return [int(v) for v in spec.split(",") if v]
     if isinstance(spec, int):
         return [spec]
@@ -179,7 +178,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     known = {
-        "command", "n", "curve", "model", "seeds", "sigma", "c1", "epsilon",
+        "command", "n", "curve", "model", "seeds", "epsilon",
         "cc_max_subset", "beta", "v0", "k_max", "theta0", "prime_cap",
         "rational", "witness_demo", "out", "csv", "svg", "jobs",
     }
@@ -201,8 +200,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.master_seed = args.seed
     if args.seeds is not None:
         cfg.seed_count = args.seeds
-    for name in ("sigma", "c1", "epsilon", "cc_max_subset", "beta", "k_max",
-                 "prime_cap", "witness_demo"):
+    for name in ("epsilon", "cc_max_subset", "beta", "k_max", "prime_cap",
+                 "witness_demo"):
         if name in raw:
             setattr(cfg, name, raw[name])
     if "v0" in raw:
@@ -238,12 +237,13 @@ LATTICE_CHUNK = 512  # circles per audit call
 
 
 def lattice_rows(cfg: ExperimentConfig) -> list[dict]:
-    wanted = set(cfg.n_values)
-    if max(wanted) > INT64_N_MAX:
+    wanted = cfg.n_values if isinstance(cfg.n_values, range) else set(cfg.n_values)
+    top = max(wanted)
+    if top > INT64_N_MAX:
         raise ConfigError(f"lattice audits are exact in int64 only for n <= {INT64_N_MAX}")
     rows: list[dict] = []
     chunk: list[LatticeCircle] = []
-    for circle in representable_up_to(max(wanted)):
+    for circle in representable_up_to(top):
         if circle.n in wanted:
             chunk.append(circle)
         if len(chunk) == LATTICE_CHUNK:

@@ -7,7 +7,10 @@ poison the audits.  Construction rejects curvature sign changes, zero
 curvature, and total curvature >= pi/2 (the regime every downstream bound
 assumes).  Circular arcs are handled in closed form; other kinds invert the
 cumulative arc length by Newton iteration on a Gauss-Legendre table, so the
-returned parametrization is unit-speed to machine precision.
+returned parametrization is unit-speed to machine precision.  All geometry
+at arc length t (point, tangent, normal, second and third derivatives,
+curvature) comes from one ``frame(t)``, which inverts t once; ``gamma(t)``
+is the point-only path.
 """
 
 from __future__ import annotations
@@ -123,6 +126,19 @@ class CubicArc:
 CurveSpec = Union[CircularArc, EllipseArc, CubicArc]
 
 
+@dataclass(frozen=True)
+class Frame:
+    """Geometry at arc length t.  normal is the unit normal on the
+    curvature side, so second = curvature * normal with curvature > 0."""
+
+    point: np.ndarray
+    tangent: np.ndarray
+    normal: np.ndarray
+    second: np.ndarray
+    third: np.ndarray
+    curvature: np.ndarray
+
+
 @dataclass
 class ArcLengthCurve:
     """Unit-speed parametrization of a curvature-pinched arc on [0, L].
@@ -176,43 +192,17 @@ class ArcLengthCurve:
     def gamma(self, t):
         return self.spec.point(self.u_of_t(t))
 
-    def _frame(self, t):
-        """Tangent, curvature-side normal, and chain-rule helpers at t."""
-        u = self.u_of_t(t)
-        d1 = self.spec.d1(u)
-        d2 = self.spec.d2(u)
-        v = np.linalg.norm(d1, axis=-1)
-        tangent = d1 / v[..., None]
-        return u, d1, d2, v, tangent
-
-    def tangent(self, t):
-        return self._frame(t)[4]
-
-    def curvature(self, t):
-        u = self.u_of_t(t)
-        d1 = self.spec.d1(u)
-        d2 = self.spec.d2(u)
-        v = np.linalg.norm(d1, axis=-1)
-        return np.abs(_cross(d1, d2)) / v**3
-
-    def normal(self, t):
-        """Unit normal with gamma''(t) = kappa(t) * n(t), kappa > 0."""
-        tang = self.tangent(t)
-        return self._orient * np.stack([-tang[..., 1], tang[..., 0]], axis=-1)
-
-    def second(self, t):
-        """gamma''(t) by the chain rule (independent of the kappa*n identity)."""
-        u, d1, d2, v, _ = self._frame(t)
-        vp = np.einsum("...k,...k->...", d1, d2) / v
-        t_prime = d2 / v[..., None] - d1 * (vp / v**2)[..., None]
-        return t_prime / v[..., None]
-
-    def third(self, t):
+    def frame(self, t) -> Frame:
+        """The point, its first three t-derivatives, the normal and the
+        curvature at arc length t, from one arc-length inversion.  The
+        second and third derivatives come from the chain rule, independent
+        of the kappa * n identity."""
         u = self.u_of_t(t)
         d1 = self.spec.d1(u)
         d2 = self.spec.d2(u)
         d3 = self.spec.d3(u)
         v = np.linalg.norm(d1, axis=-1)
+        tangent = d1 / v[..., None]
         vp = np.einsum("...k,...k->...", d1, d2) / v
         vpp = (np.einsum("...k,...k->...", d2, d2)
                + np.einsum("...k,...k->...", d1, d3) - vp**2) / v
@@ -221,24 +211,19 @@ class ArcLengthCurve:
                     - 2.0 * d2 * (vp / v**2)[..., None]
                     - d1 * (vpp / v**2)[..., None]
                     + 2.0 * d1 * (vp**2 / v**3)[..., None])
-        return t_second / v[..., None] ** 2 - t_prime * (vp / v**3)[..., None]
-
-    def curvature_rate(self, t):
-        """d(kappa)/dt, analytic."""
-        u = self.u_of_t(t)
-        d1 = self.spec.d1(u)
-        d2 = self.spec.d2(u)
-        d3 = self.spec.d3(u)
-        v = np.linalg.norm(d1, axis=-1)
-        vp = np.einsum("...k,...k->...", d1, d2) / v
-        ks = _cross(d1, d2) / v**3
-        ksp = _cross(d1, d3) / v**3 - 3.0 * ks * vp / v
-        return self._orient * ksp / v
+        return Frame(
+            point=self.spec.point(u),
+            tangent=tangent,
+            normal=self._orient * np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1),
+            second=t_prime / v[..., None],
+            third=t_second / v[..., None] ** 2 - t_prime * (vp / v**3)[..., None],
+            curvature=np.abs(_cross(d1, d2)) / v**3,
+        )
 
     # -- cached uniform grids ----------------------------------------------
 
-    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(t, gamma, tangent) on the uniform n+1-node grid over [0, L].
+    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(t, gamma) on the uniform n+1-node grid over [0, L].
 
         Doubled grids are filled incrementally (only the new odd nodes are
         computed), which keeps refinement loops linear in the finest grid.
@@ -249,23 +234,15 @@ class ArcLengthCurve:
         prev = self._grid_cache.get(n // 2) if n % 2 == 0 else None
         if prev is None:
             t = np.linspace(0.0, self.length, n + 1)
-            u = self.u_of_t(t)
-            d1 = self.spec.d1(u)
-            v = np.linalg.norm(d1, axis=-1)
-            hit = (t, self.spec.point(u), d1 / v[..., None])
+            hit = (t, self.gamma(t))
         else:
-            t_prev, g_prev, tang_prev = prev
+            t_prev, g_prev = prev
             t_odd = 0.5 * (t_prev[:-1] + t_prev[1:])
-            u = self.u_of_t(t_odd)
-            d1 = self.spec.d1(u)
-            v = np.linalg.norm(d1, axis=-1)
             t = np.empty(n + 1)
             t[::2], t[1::2] = t_prev, t_odd
             g = np.empty((n + 1, 2))
-            g[::2], g[1::2] = g_prev, self.spec.point(u)
-            tang = np.empty((n + 1, 2))
-            tang[::2], tang[1::2] = tang_prev, d1 / v[..., None]
-            hit = (t, g, tang)
+            g[::2], g[1::2] = g_prev, self.gamma(t_odd)
+            hit = (t, g)
         self._grid_cache[n] = hit
         return hit
 
@@ -336,7 +313,7 @@ def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
         _s_nodes=s_nodes,
     )
     # unit-speed audit (construction-time, dense)
-    taud = curve.tangent(np.linspace(0.0, curve.length, 1025))
+    taud = curve.frame(np.linspace(0.0, curve.length, 1025)).tangent
     err = np.max(np.abs(np.linalg.norm(taud, axis=-1) - 1.0))
     if err > 1e-9:
         raise InvariantViolation(f"unit-speed audit failed: {err:.3e}")
@@ -362,19 +339,14 @@ def phase(curve: ArcLengthCurve, xi: tuple[float, float], t) -> PhaseEval:
     if nx == 0.0:
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
-    t = np.asarray(t, dtype=float)
-    g = curve.gamma(t)
-    tang = curve.tangent(t)
-    sec = curve.second(t)
-    thr = curve.third(t)
-    nrm = curve.normal(t)
-    dphi = tang @ e
+    fr = curve.frame(np.asarray(t, dtype=float))
+    dphi = fr.tangent @ e
     return PhaseEval(
-        phi=g @ e,
+        phi=fr.point @ e,
         dphi=dphi,
-        d2phi=sec @ e,
-        d3phi=thr @ e,
-        alpha=np.arctan2(dphi, nrm @ e),
+        d2phi=fr.second @ e,
+        d3phi=fr.third @ e,
+        alpha=np.arctan2(dphi, fr.normal @ e),
     )
 
 
@@ -394,7 +366,7 @@ def near_stationary_interval(
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
     tt = np.linspace(0.0, curve.length, 4097)
-    dphi = curve.tangent(tt) @ e
+    dphi = curve.frame(tt).tangent @ e
     inside = np.abs(dphi) < 2.0 * sigma
     if not np.any(inside):
         return None, 0.0
@@ -405,7 +377,7 @@ def near_stationary_interval(
     def edge(t_in: float, t_out: float) -> float:
         for _ in range(60):
             mid = 0.5 * (t_in + t_out)
-            if abs(float(curve.tangent(mid) @ e)) < 2.0 * sigma:
+            if abs(float(curve.frame(mid).tangent @ e)) < 2.0 * sigma:
                 t_in = mid
             else:
                 t_out = mid

@@ -53,10 +53,6 @@ class Median:
         t1 = (2 * p1[0] - a) * (-b) + (2 * p1[1] - b) * a
         return p1 if t1 >= 0 else p2
 
-    def mu_minus(self) -> Point:
-        p = self.mu_plus()
-        return (self.z2[0] - p[0], self.z2[1] - p[1])
-
 
 def median_map(mu: Point, nu: Point, n: int) -> Median:
     """Exact median of two lattice points on the circle x^2 + y^2 = n."""

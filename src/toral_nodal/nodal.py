@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .oscillatory import NormReport, restriction_norms
-from .wavefield import (RestrictedWave, _bump, _simpson_weights, dyadic_levels,
-                        f1_parts, first_level, split_f0_f1)
+from .oscillatory import NormReport, _gl_panels, _panel_counts, restriction_norms
+from .wavefield import (RestrictedWave, _bump, dyadic_levels, f1_parts,
+                        first_level, split_f0_f1)
 
 NODE_CAP_COUNT = 1 << 24
 
@@ -215,8 +215,11 @@ def partition_experiment(
     that carry one.  Both sides of the two mass inequalities are evaluated
     (the detected-mass bound sqrt(#J0 * C1 / lambda) and the undetected-sum
     bound C1^(-1/3)), along with the L2 sizes of the two
-    integration-by-parts pieces against their sigma powers.  Constants are
-    reported, never asserted: the statements are asymptotic.
+    integration-by-parts pieces against their sigma powers.  The L1 norm
+    is the one :func:`restriction_norms` certifies; the other integrals run
+    on 16-point Gauss-Legendre panels cut at the zero-bracket midpoints and
+    the bump edges j*h, so |f| and the ramps are smooth on every panel.
+    Constants are reported, never asserted: the statements are asymptotic.
     """
     lam = rw.lam
     L = rw.curve.length
@@ -232,9 +235,12 @@ def partition_experiment(
         if rep.count >= 1:
             detected.append(j)
 
-    n = first_level(8.0 * lam * L, 256)
-    t, f = rw.grid_values(n)
-    w = _simpson_weights(n, L / n)
+    total = count_sign_changes(rw)
+    l1 = restriction_norms(rw, signs=total).l1
+    tb = np.union1d([0.0, L, *(0.5 * (lo + hi) for lo, hi in total.brackets)],
+                    part.h * np.arange(1, part.count))
+    t, w = (a.ravel() for a in _gl_panels(tb, _panel_counts(lam, tb)))
+    f = rw.value(t)
     taus = part.tau_matrix(t)
 
     in_mask = np.zeros(part.count, dtype=bool)
@@ -251,7 +257,6 @@ def partition_experiment(
     f2n = math.sqrt(float(w @ np.abs(f2(t)) ** 2))
     f3n = math.sqrt(float(w @ np.abs(f3(t)) ** 2))
 
-    total = count_sign_changes(rw)
     record = {
         "n": rw.F.circle.n,
         "lambda": lam,
@@ -270,7 +275,7 @@ def partition_experiment(
         "f2_norm_times_sigma_sq": f2n * sigma**2,
         "f3_norm_times_sigma": f3n * sigma,
         "detected_over_freq_l1_fifth": float(
-            len(detected) / (lam * max(float(w @ np.abs(f)), 1e-300) ** 5)),
+            len(detected) / (lam * max(l1, 1e-300) ** 5)),
     }
     if check_coupling:
         record["coupling_c1_sigma"] = c1 * sigma**1.5  # 1.0 when C1 = sigma^(-3/2)

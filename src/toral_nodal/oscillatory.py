@@ -76,7 +76,7 @@ def osc_integral(
     L = curve.length
     est, err, total_nodes = None, math.inf, 0
     for n in dyadic_levels(first_level(4.0 * abs(k) * L), node_cap):
-        t, g, _ = curve.grid(n)
+        t, g = curve.grid(n)
         vals = np.exp(1j * k * (g @ e))
         if amplitude is not None:
             vals = vals * amplitude(t)
@@ -189,17 +189,24 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _gl_nodes(rw: RestrictedWave, ub: np.ndarray, panels: np.ndarray):
-    """Weights and values of f on panels[j] equal u-panels of 16-point
-    Gauss-Legendre over each segment [ub[j], ub[j+1]], shaped (panels, 16);
-    the weights carry the speed |p'(u)|, so they integrate in arc length."""
+def _gl_panels(ub: np.ndarray, panels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of panels[j] equal panels of 16-point
+    Gauss-Legendre over each segment [ub[j], ub[j+1]], shaped (panels, 16)."""
     x, wx = _gauss_legendre()
     seg = np.repeat(np.arange(len(panels)), panels)
     k = np.arange(len(seg)) - np.repeat(np.cumsum(panels) - panels, panels)
     du = (np.diff(ub) / panels)[seg]
     u = (ub[seg] + (k + 0.5) * du)[:, None] + (0.5 * du)[:, None] * x
+    return u, (0.5 * du)[:, None] * wx
+
+
+def _gl_nodes(rw: RestrictedWave, ub: np.ndarray, panels: np.ndarray):
+    """Weights and values of f on the Gauss-Legendre u-panels of
+    :func:`_gl_panels`; the weights carry the speed |p'(u)|, so they
+    integrate in arc length."""
+    u, w = _gl_panels(ub, panels)
     speed = np.linalg.norm(rw.curve.spec.d1(u), axis=-1)
-    return (0.5 * du)[:, None] * wx * speed, rw.value_at_param(u)
+    return w * speed, rw.value_at_param(u)
 
 
 def _split_mixed(rw, tb, mixed, split, intervals):

@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Protocol
 
 import numpy as np
 
-from .curve import ArcLengthCurve
+from .curve import ArcLengthCurve, Frame
 from .errors import InvariantViolation
 from .lattice import LatticeCircle, Point, _angle
 
@@ -245,11 +245,6 @@ class Eigenfunction:
     def sum_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.coeffs.values()))
 
-    @property
-    def l2_norm(self) -> float:
-        """Full-torus L2 norm under 4 pi^2 ||F||_2^2 = sum |a|^2."""
-        return math.sqrt(self.sum_sq) / (2.0 * math.pi)
-
 
 def make_eigenfunction(circle: LatticeCircle, model: CoefficientModel) -> Eigenfunction:
     """Build, normalize to sum |a|^2 = 1 exactly, and validate."""
@@ -337,8 +332,8 @@ class RestrictedWave:
         return evaluate(self.F, g)
 
     def derivative(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _half_plane_sum(self.F, self.curve.gamma(t), self.curve.tangent(t))
+        fr = self.curve.frame(np.asarray(t, dtype=float))
+        return _half_plane_sum(self.F, fr.point, fr.tangent)
 
     def value_at_param(self, u) -> np.ndarray:
         """F(p(u)) in the curve's own parameter u: no arc-length inversion."""
@@ -360,7 +355,7 @@ class RestrictedWave:
         hit = self._cache.get(n)
         if hit is not None:
             return hit
-        t, g, _ = self.curve.grid(n)
+        t, g = self.curve.grid(n)
         prev = self._cache.get(n // 2) if n % 2 == 0 else None
         if prev is None:
             f = evaluate(self.F, g)
@@ -379,12 +374,11 @@ def restrict(F: Eigenfunction, curve: ArcLengthCurve) -> RestrictedWave:
 
 # -- cutoff splits along the curve -------------------------------------------
 
-def _phase_tables(rw: RestrictedWave, t: np.ndarray):
-    """<mu, gamma(t)> and phi'_mu(t) = <mu/|mu|, gamma'(t)> for all mu."""
-    g = rw.curve.gamma(t)
-    tang = rw.curve.tangent(t)
-    full = g @ rw.F._mus.T          # lambda * phi_mu
-    d1 = (tang @ rw.F._mus.T) / rw.lam
+def _phase_tables(rw: RestrictedWave, fr: Frame):
+    """<mu, gamma(t)> and phi'_mu(t) = <mu/|mu|, gamma'(t)> for all mu, from
+    the frame at t."""
+    full = fr.point @ rw.F._mus.T          # lambda * phi_mu
+    d1 = (fr.tangent @ rw.F._mus.T) / rw.lam
     return full, d1
 
 
@@ -397,8 +391,7 @@ def split_f0_f1(rw: RestrictedWave, sigma: float):
         raise ValueError("sigma must lie in (0, 1/4]")
 
     def split_pair(t):
-        t = np.asarray(t, dtype=float)
-        full, d1 = _phase_tables(rw, t)
+        full, d1 = _phase_tables(rw, rw.curve.frame(np.asarray(t, dtype=float)))
         th = smooth_cutoff(d1 / sigma)
         osc = np.exp(1j * full)
         f0 = (osc * th) @ rw.F._a
@@ -422,10 +415,9 @@ def f1_parts(rw: RestrictedWave, sigma: float):
         raise ValueError("sigma must lie in (0, 1/4]")
 
     def tables(t):
-        t = np.asarray(t, dtype=float)
-        full, d1 = _phase_tables(rw, t)
-        sec = rw.curve.second(t)
-        d2 = (sec @ rw.F._mus.T) / rw.lam  # phi''_mu
+        fr = rw.curve.frame(np.asarray(t, dtype=float))
+        full, d1 = _phase_tables(rw, fr)
+        d2 = (fr.second @ rw.F._mus.T) / rw.lam  # phi''_mu
         th = smooth_cutoff(d1 / sigma)
         thp = smooth_cutoff_d1(d1 / sigma) / sigma
         live = np.abs(d1) >= sigma  # support of 1 - theta_sigma
@@ -495,20 +487,19 @@ class CutoffEnvelope:
     mu: Point
     sigma: float
 
-    def _dphi(self, t):
+    def _frame(self, t):
+        """The curve's frame at t and the unit direction of mu."""
         e = np.array(self.mu, dtype=float)
         e /= np.linalg.norm(e)
-        return self.curve.tangent(np.asarray(t, dtype=float)) @ e
+        return self.curve.frame(np.asarray(t, dtype=float)), e
 
     def value(self, t):
-        return smooth_cutoff(self._dphi(t) / self.sigma)
+        fr, e = self._frame(t)
+        return smooth_cutoff((fr.tangent @ e) / self.sigma)
 
     def derivative(self, t):
-        e = np.array(self.mu, dtype=float)
-        e /= np.linalg.norm(e)
-        tt = np.asarray(t, dtype=float)
-        d2 = self.curve.second(tt) @ e
-        return smooth_cutoff_d1(self._dphi(tt) / self.sigma) / self.sigma * d2
+        fr, e = self._frame(t)
+        return smooth_cutoff_d1((fr.tangent @ e) / self.sigma) / self.sigma * (fr.second @ e)
 
 
 @dataclass(frozen=True)

@@ -200,9 +200,9 @@ def test_criterion_07_vdc_trend(all_curves):
     per fixture."""
     slopes = []
     for curve in all_curves:
-        normals = [tuple(curve.normal(np.asarray(f * curve.length)))
+        normals = [tuple(curve.frame(np.asarray(f * curve.length)).normal)
                    for f in (0.3, 0.4, 0.5, 0.6, 0.7)]
-        tang = curve.tangent(np.asarray(0.5 * curve.length))
+        tang = curve.frame(np.asarray(0.5 * curve.length)).tangent
         mid = math.atan2(tang[1], tang[0])
         away = [(math.cos(mid + d), math.sin(mid + d))
                 for d in (-0.24, -0.12, 0.0, 0.12, 0.24)]

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from toral_nodal.cli import (SCHEMAS, derive_seed, main, parse_n_spec,
-                             validate_row)
+from toral_nodal.cli import (SCHEMAS, build_parser, derive_seed, load_config, main,
+                             parse_n_spec, validate_row)
 from toral_nodal.errors import ConfigError
 from toral_nodal.lattice import INT64_N_MAX
 
@@ -16,10 +16,10 @@ def read_jsonl(path):
 
 
 def test_parse_n_spec():
-    assert parse_n_spec("1..5") == [1, 2, 3, 4]
-    assert parse_n_spec("25,50") == [25, 50]
-    assert parse_n_spec([25]) == [25]
-    assert parse_n_spec({"range": [3, 6]}) == [3, 4, 5]
+    assert list(parse_n_spec("1..5")) == [1, 2, 3, 4]
+    assert list(parse_n_spec("25,50")) == [25, 50]
+    assert list(parse_n_spec([25])) == [25]
+    assert list(parse_n_spec({"range": [3, 6]})) == [3, 4, 5]
     with pytest.raises(ConfigError):
         parse_n_spec(1.5)
 
@@ -148,10 +148,20 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"n": [25], "bogus": 1}))
-    assert main(["nodal", "--config", str(cfg),
-                 "--out", str(tmp_path / "o.jsonl")]) == 3
+    for key in ("bogus", "sigma"):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"n": [25], key: 1}))
+        assert main(["nodal", "--config", str(cfg),
+                     "--out", str(tmp_path / "o.jsonl")]) == 3
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Config example:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "example.json"
+    cfg_path.write_text(block)
+    cfg = load_config(build_parser().parse_args(["sweep", "--config", str(cfg_path)]))
+    assert cfg.n_values == json.loads(block)["n"]
 
 
 def test_explicit_curve_config(tmp_path):

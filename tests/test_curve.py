@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toral_nodal.curve import (CircularArc, CubicArc, EllipseArc,
+from toral_nodal.curve import (ArcLengthCurve, CircularArc, CubicArc, EllipseArc,
                                make_arclength, near_stationary_interval, phase)
 
 
@@ -24,7 +24,7 @@ def test_circular_closed_form():
     assert c.length == math.pi / 4
     assert c.kmin == c.kmax == 1.0
     t = np.linspace(0, c.length, 100)
-    assert np.max(np.abs(c.curvature(t) - 1.0)) < 1e-12
+    assert np.max(np.abs(c.frame(t).curvature - 1.0)) < 1e-12
 
 
 def test_scaled_circle_curvature():
@@ -76,11 +76,32 @@ def test_inflection_rejected():
 def test_unit_speed_and_frenet(all_curves):
     for curve in all_curves:
         t = np.linspace(0.0, curve.length, 2001)
-        tang = curve.tangent(t)
+        fr = curve.frame(t)
+        tang = fr.tangent
         assert np.max(np.abs(np.linalg.norm(tang, axis=-1) - 1.0)) <= 1e-9
-        gap = curve.second(t) - curve.curvature(t)[..., None] * curve.normal(t)
+        gap = fr.second - fr.curvature[..., None] * fr.normal
         assert np.max(np.linalg.norm(gap, axis=-1)) <= 1e-6
-        assert np.max(np.abs(np.einsum("ij,ij->i", tang, curve.normal(t)))) <= 1e-9
+        assert np.max(np.abs(np.einsum("ij,ij->i", tang, fr.normal))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["ell", "cub"])
+def test_frame_and_phase_invert_once(request, monkeypatch, name):
+    curve = request.getfixturevalue(name)
+    inner = ArcLengthCurve.u_of_t
+    calls = []
+
+    def counted(self, t):
+        calls.append(t)
+        return inner(self, t)
+
+    monkeypatch.setattr(ArcLengthCurve, "u_of_t", counted)
+    t = np.linspace(0.0, curve.length, 9)
+    for i, call in enumerate([lambda: curve.frame(t),
+                              lambda: curve.frame(np.asarray(t[3])),
+                              lambda: phase(curve, (0.6, 0.8), t),
+                              lambda: phase(curve, (-1.0, 0.5), np.asarray(t[5]))]):
+        call()
+        assert len(calls) == i + 1
 
 
 def test_arclength_parametrization_consistency(ell):
@@ -150,8 +171,8 @@ def test_second_derivative_single_sign_change(all_curves):
 
 def test_stationary_direction_values(circ):
     t0 = 0.5 * circ.length
-    tang = circ.tangent(np.asarray(t0))
-    nrm = circ.normal(np.asarray(t0))
+    fr = circ.frame(np.asarray(t0))
+    tang, nrm = fr.tangent, fr.normal
     pe_t = phase(circ, tuple(tang), np.asarray(t0))
     assert abs(abs(pe_t.dphi) - 1.0) < 1e-12
     assert abs(pe_t.d2phi) < 1e-9
@@ -176,7 +197,7 @@ def test_near_stationary_empty(circ):
 
 def test_near_stationary_ellipse_single_interval(ell):
     t0 = 0.4 * ell.length
-    nrm = ell.normal(np.asarray(t0))
+    nrm = ell.frame(np.asarray(t0)).normal
     interval, length = near_stationary_interval(ell, tuple(nrm), 0.05)
     assert interval is not None
     assert interval[0] < t0 < interval[1]
@@ -191,8 +212,8 @@ def test_near_stationary_sigma_validation(circ):
 
 
 def test_grid_cache_consistency(ell):
-    t8, g8, tan8 = ell.grid(8)
-    t16, g16, tan16 = ell.grid(16)
+    t8, g8 = ell.grid(8)
+    t16, g16 = ell.grid(16)
     assert np.array_equal(t16[::2], t8)
     assert np.array_equal(g16[::2], g8)
     direct = ell.gamma(t16)

@@ -12,6 +12,7 @@ from toral_nodal.lattice import enumerate_circle
 from toral_nodal.nodal import (build_partition, certified_sign_changes,
                                count_sign_changes, partition_experiment,
                                theorem_harness)
+from toral_nodal.oscillatory import restriction_norms
 from toral_nodal.wavefield import SinglePair, UniformRandom, make_eigenfunction, restrict
 
 
@@ -123,6 +124,15 @@ class OneSignWave:
         t = np.linspace(0.0, self.curve.length, n + 1)
         return t, self.value(t)
 
+    # the circular fixture has t = R (u - angle0)
+    def value_at_param(self, u):
+        spec = self.curve.spec
+        return self.value(spec.radius * (np.asarray(u, dtype=float) - spec.angle0))
+
+    def derivative_at_param(self, u):
+        spec = self.curve.spec
+        return -spec.radius * np.sin(spec.radius * (np.asarray(u, dtype=float) - spec.angle0))
+
 
 def test_partition_experiment_no_sign_changes(circ):
     F = make_eigenfunction(enumerate_circle(25), UniformRandom(seed=1))
@@ -154,6 +164,17 @@ def test_partition_experiment_random_row(circ):
     assert record["detected_bumps"] >= 1
     assert record["lhs_detected_mass"] > 0.0
     assert record["detected_over_freq_l1_fifth"] > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1105, 27625])
+def test_partition_experiment_l1_is_restriction_l1(circ, n, seed):
+    rw = restrict(make_eigenfunction(enumerate_circle(n), UniformRandom(seed=seed)), circ)
+    record = partition_experiment(rw, c1=3.0, sigma=0.25)
+    assert record["detected_bumps"] >= 1
+    l1 = (record["detected_bumps"]
+          / (record["lambda"] * record["detected_over_freq_l1_fifth"])) ** 0.2
+    assert l1 == pytest.approx(restriction_norms(rw).l1, rel=1e-12, abs=0.0)
 
 
 # -- theorem harness -----------------------------------------------------------

@@ -83,7 +83,7 @@ def test_osc_integral_amplitude(circ):
 def test_vdc_audit_stationary_direction(circ):
     # normal direction at mid-arc: stationary phase saturates sqrt(k) decay,
     # so the trend over the full dyadic range is flat but not rising
-    nrm = circ.normal(np.asarray(circ.length / 2))
+    nrm = circ.frame(np.asarray(circ.length / 2)).normal
     audit = vdc_audit(circ, tuple(nrm))
     assert -0.05 <= audit.slope <= 0.05
     assert audit.rows[0][0] == 1.0
