@@ -152,20 +152,29 @@ class ExperimentConfig:
 
 def parse_n_spec(spec) -> list[int] | range:
     """n values from a list, an 'a..b' half-open range string, or a dict
-    {"range": [a, b]}; the two range forms stay ranges."""
-    if isinstance(spec, list):
-        return [int(v) for v in spec]
-    if isinstance(spec, dict) and "range" in spec:
-        lo, hi = spec["range"]
-        return range(int(lo), int(hi))
-    if isinstance(spec, str):
-        if ".." in spec:
+    {"range": [a, b]}; the two range forms stay ranges.  Every n must be a
+    positive integer."""
+    try:
+        if isinstance(spec, dict) and "range" in spec:
+            lo, hi = spec["range"]
+            values = range(int(lo), int(hi))
+        elif isinstance(spec, str) and ".." in spec:
             lo, hi = spec.split("..", 1)
-            return range(int(lo), int(hi))
-        return [int(v) for v in spec.split(",") if v]
-    if isinstance(spec, int):
-        return [spec]
-    raise ConfigError(f"cannot parse n specification {spec!r}")
+            values = range(int(lo), int(hi))
+        elif isinstance(spec, str):
+            values = [int(v) for v in spec.split(",") if v]
+        elif isinstance(spec, list):
+            values = [int(v) for v in spec]
+        elif isinstance(spec, int):
+            values = [spec]
+        else:
+            raise ConfigError(f"cannot parse n specification {spec!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse n specification {spec!r}") from exc
+    low = values.start if isinstance(values, range) else min(values, default=1)
+    if values and low < 1:
+        raise ConfigError(f"n must be a positive integer, got {low}")
+    return values
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -186,19 +186,6 @@ def irrational_geodesic_witness(
         min_on_segment=min_val, sign_changes=rep.count)
 
 
-def witness_eigenfunction_json(beta: float, v0: tuple[float, float], k: int) -> dict:
-    """The witness in the eigenfunction wire format, plus its segment."""
-    conv = continued_fraction_approximants(beta, k)
-    p, q = conv[k - 1].p, conv[k - 1].q
-    phase = -(p * v0[0] + q * v0[1])
-    a = 0.5 * complex(math.cos(phase), math.sin(phase))
-    return {
-        "n": p * p + q * q,
-        "coeffs": [[-p, -q, a.real, -a.imag], [p, q, a.real, a.imag]],
-        "segment": {"v0": list(v0), "direction": [1.0, -beta], "t_range": [-1.0, 1.0]},
-    }
-
-
 # -- Legendre polynomials and the sphere ----------------------------------------
 
 def legendre_eval(ell: int, x):
@@ -250,29 +237,15 @@ def _legendre_d1(ell: int, x: np.ndarray, p_ell: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def legendre_zeros(ell: int) -> tuple[float, ...]:
-    """The ell zeros of P_ell in (-1, 1), by bracketed bisection on the
-    interlacing intervals of the previous degree, polished by Newton.
+    """The ell zeros of P_ell in (-1, 1): the Golub-Welsch nodes of numpy's
+    Gauss-Legendre rule, polished by two Newton steps on the recurrence.
 
     Residuals |P_ell(root)| are kept below 1e-12.
     """
     if ell < 1:
         raise ValueError("degree must be >= 1")
-    if ell == 1:
-        return (0.0,)
-    prev = legendre_zeros(ell - 1)
-    lo = np.array((-1.0,) + prev)
-    hi = np.array(prev + (1.0,))
-    flo = legendre_eval(ell, lo)
-    for _ in range(55):
-        mid = 0.5 * (lo + hi)
-        fm = legendre_eval(ell, mid)
-        exact = fm == 0.0  # midpoint is the root (e.g. x=0 for odd degree)
-        left = flo * fm < 0.0
-        hi = np.where(exact, mid, np.where(left, mid, hi))
-        lo = np.where(exact, mid, np.where(left, lo, mid))
-        flo = np.where(left | exact, flo, fm)
-    roots = 0.5 * (lo + hi)
-    for _ in range(3):
+    roots = np.polynomial.legendre.leggauss(ell)[0]
+    for _ in range(2):
         val = legendre_eval(ell, roots)
         roots = roots - val / _legendre_d1(ell, roots, val)
     resid = float(np.max(np.abs(legendre_eval(ell, roots))))

@@ -256,10 +256,6 @@ class ArcWindow:
     kind: str
     c: float = 1.0
 
-    def half_width(self, radius: float) -> float:
-        """Angular half-width of the window on a circle of the given radius."""
-        return window_half_width(self.kind, radius, self.c)
-
 
 def window_half_width(kind: str, radius: float, c: float = 1.0) -> float:
     if kind == "chord":

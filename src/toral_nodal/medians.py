@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import AntipodalMedianError, InvariantViolation
-from .lattice import LatticeCircle, Point, chord_arc_max
+from .lattice import LatticeCircle, Point
 
 Vec = tuple[float, float]
 
@@ -42,16 +42,6 @@ class Median:
     @property
     def delta(self) -> float:
         return 0.5 * math.sqrt(self.four_delta_sq)
-
-    def mu_plus(self) -> Point:
-        """The parent on the positive side of the perpendicular at z."""
-        if self.z2 == (0, 0):
-            raise AntipodalMedianError("mu_plus undefined for the zero median")
-        a, b = self.z2
-        p1, p2 = self.parents
-        # (2*mu - z2) . z2_perp > 0 selects mu_plus; zero only when mu = z.
-        t1 = (2 * p1[0] - a) * (-b) + (2 * p1[1] - b) * a
-        return p1 if t1 >= 0 else p2
 
 
 def median_map(mu: Point, nu: Point, n: int) -> Median:
@@ -133,30 +123,6 @@ def build_median_set(circle: LatticeCircle) -> MedianSet:
                     )
                 by_z2[med.z2] = med
     return MedianSet(circle=circle, medians=tuple(medians), by_z2=by_z2)
-
-
-def stability_count(
-    mset: MedianSet, z: Vec, v: Vec
-) -> tuple[int, float]:
-    """Count medians w with |mu+(w) - v| < sqrt(lambda) and |w - z| < lambda^(1/3).
-
-    Direct scan; the second return value is count / arc-crowding max, the
-    empirically tracked ratio (the proven statement is count = O(B)).
-    """
-    lam = mset.radius
-    r_mu = math.sqrt(lam)
-    r_z = lam ** (1.0 / 3.0)
-    count = 0
-    for med in mset.medians:
-        if med.z2 == (0, 0):
-            continue
-        mp = med.mu_plus()
-        if math.hypot(mp[0] - v[0], mp[1] - v[1]) >= r_mu:
-            continue
-        if math.hypot(0.5 * med.z2[0] - z[0], 0.5 * med.z2[1] - z[1]) < r_z:
-            count += 1
-    b = chord_arc_max(mset.circle)
-    return count, count / b
 
 
 def _is_starred(med: Median) -> bool:
@@ -247,64 +213,3 @@ def dyadic_decompose(mset: MedianSet, epsilon: float = 0.1) -> DyadicShellDecomp
         sub_shells={k: tuple(v) for k, v in sorted(sub_shells.items())},
         small_gap=tuple(small),
     )
-
-
-def median_dist(z: Median, w: Median) -> float:
-    d2 = (z.z2[0] - w.z2[0]) ** 2 + (z.z2[1] - w.z2[1]) ** 2
-    return 0.5 * math.sqrt(d2)
-
-
-def shell_window_count(
-    decomp: DyadicShellDecomposition, z: Median, L: int
-) -> int:
-    """#{w in S_L : |w - z| < lambda^epsilon}, by exact scan."""
-    shell = decomp.shells.get(L, ())
-    # |w - z| < lambda^eps  <=>  |w2 - z2|^2 < 4 n^eps (integer left side)
-    thr = 4.0 * decomp.mset.n**decomp.epsilon
-    count = 0
-    for w in shell:
-        d2 = (w.z2[0] - z.z2[0]) ** 2 + (w.z2[1] - z.z2[1]) ** 2
-        if d2 < thr:
-            count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    dist: float
-    lower_bound: float | None
-    case: str
-    ratio: float | None
-
-
-def median_separation_audit(
-    decomp: DyadicShellDecomposition, z: Median, w: Median
-) -> SeparationReport:
-    """Classify a close pair of starred medians and report |z - w| against
-    its case's proven lower-bound shape.
-
-    Cases for z in S_{K,k}, w in S_{L,l} with K <= L:
-    "wide" (2K < L, bound ~ L^2), "adjacent" (K = L/2 and l != 0, bound ~ L*l),
-    "equal" (K = L and |l-k| >= 2, bound ~ L*|l-k|), otherwise "exceptional"
-    (no bound claimed).  The multiplicative constant is unspecified, so only
-    the ratio dist/bound is reported, never asserted.
-    """
-    if z.z2 == w.z2:
-        raise ValueError("need two distinct medians")
-    K, k = decomp.shell_of(z)
-    L, l = decomp.shell_of(w)
-    if K > L:
-        (K, k), (L, l) = (L, l), (K, k)
-    dist = median_dist(z, w)
-    if dist >= decomp.locality:
-        raise ValueError("pair is farther apart than the locality cutoff")
-    if 2 * K < L:
-        case, bound = "wide", float(L * L)
-    elif 2 * K == L and l != 0:
-        case, bound = "adjacent", float(L * l)
-    elif K == L and abs(l - k) >= 2:
-        case, bound = "equal", float(L * abs(l - k))
-    else:
-        case, bound = "exceptional", None
-    ratio = dist / bound if bound else None
-    return SeparationReport(dist=dist, lower_bound=bound, case=case, ratio=ratio)

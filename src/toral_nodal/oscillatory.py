@@ -1,10 +1,11 @@
 """Oscillation-aware quadrature, restriction norms, and the dyadic Schur
 machinery over median shells.
 
-Oscillatory integrals are composite Simpson over the shared dyadic cascade
-(:func:`wavefield.dyadic_levels`) until two successive estimates agree; the
-initial spacing resolves the oscillation rate (at least four nodes per
-radian of phase).
+Oscillatory integrals run on the same 16-point Gauss-Legendre panels as
+the restriction norms, in the curve's own parameter u with weights
+|p'(u)|; the panel count doubles on the shared dyadic cascade
+(:func:`wavefield.dyadic_levels`) until two successive estimates agree,
+starting from panels of about two radians of phase each.
 
 The restriction norms are Gauss-Legendre sums between the certified zeros
 of f: the arc is cut at the sign-change brackets of the zero count, each
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +34,7 @@ from .curve import ArcLengthCurve
 from .errors import InvariantViolation, QuadratureError
 from .lattice import Point, chord_arc_max
 from .medians import DyadicShellDecomposition, Median
-from .wavefield import (RestrictedWave, _simpson_weights, dyadic_levels,
-                        first_level)
+from .wavefield import RestrictedWave, dyadic_levels, first_level
 
 if TYPE_CHECKING:
     from .nodal import SignChangeReport
@@ -58,33 +58,30 @@ class QuadratureResult:
 
 def osc_integral(
     curve: ArcLengthCurve,
-    amplitude: Callable[[np.ndarray], np.ndarray] | None,
     xi: tuple[float, float],
     k: float,
     tol: float = 1e-9,
     node_cap: int = NODE_CAP_OSC,
 ) -> QuadratureResult:
-    """I(k) = int_0^L A(t) e^{i k phi_xi(t)} dt along the curve.
+    """I(k) = int_0^L e^{i k phi_xi(t)} dt along the curve.
 
-    Reuses the curve's cached uniform grids, which makes sweeps over many
-    directions xi cheap.
+    Integrated in the curve parameter u, as int e^{i k <p(u), xi/|xi|>}
+    |p'(u)| du, on equal panels of 16-point Gauss-Legendre; no arc-length
+    inversion is needed.
     """
     nx = math.hypot(xi[0], xi[1])
     if nx == 0.0:
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
-    L = curve.length
     est, err, total_nodes = None, math.inf, 0
-    for n in dyadic_levels(first_level(4.0 * abs(k) * L), node_cap):
-        t, g = curve.grid(n)
-        vals = np.exp(1j * k * (g @ e))
-        if amplitude is not None:
-            vals = vals * amplitude(t)
-        cur = complex(_simpson_weights(n, L / n) @ vals)
+    for n in dyadic_levels(_GL_ORDER * first_level(0.5 * abs(k) * curve.length, 1),
+                           node_cap):
+        p, w = _gl_arc(curve.spec, n // _GL_ORDER)
+        cur = complex(w @ np.exp(1j * k * (p @ e)))
         if est is not None:
             err = abs(cur - est)
         est = cur
-        total_nodes += n + 1
+        total_nodes += n
         if err < tol:
             break
     else:
@@ -107,7 +104,6 @@ def vdc_audit(
     curve: ArcLengthCurve,
     xi: tuple[float, float],
     k_grid: Sequence[float] | None = None,
-    amplitude: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = 1e-9,
 ) -> VdcAudit:
     """sqrt(k)-normalized decay table of I(k) over a dyadic k-grid.
@@ -126,7 +122,7 @@ def vdc_audit(
         raise ValueError("audit needs k >= 1")
     rows = []
     for k in k_grid:
-        val = abs(osc_integral(curve, amplitude, xi, k, tol=tol).value)
+        val = abs(osc_integral(curve, xi, k, tol=tol).value)
         rows.append((float(k), math.sqrt(k) * val))
     fit_rows = [r for r in rows if r[0] * curve.length >= VDC_ONSET]
     if len(fit_rows) < 4:
@@ -198,6 +194,16 @@ def _gl_panels(ub: np.ndarray, panels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     du = (np.diff(ub) / panels)[seg]
     u = (ub[seg] + (k + 0.5) * du)[:, None] + (0.5 * du)[:, None] * x
     return u, (0.5 * du)[:, None] * wx
+
+
+@functools.lru_cache(maxsize=64)
+def _gl_arc(spec, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points p(u) and arc-length weights w |p'(u)| of ``panels`` equal
+    16-point Gauss-Legendre panels over a spec's whole parameter range,
+    flattened.  Cached: the oscillatory integrals on one curve all walk
+    the same levels."""
+    u, w = _gl_panels(np.array([spec.angle0, spec.angle1]), np.array([panels]))
+    return spec.point(u).reshape(-1, 2), (w * np.linalg.norm(spec.d1(u), axis=-1)).ravel()
 
 
 def _gl_nodes(rw: RestrictedWave, ub: np.ndarray, panels: np.ndarray):
@@ -356,7 +362,7 @@ def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
         if nd in cache:
             val = cache[nd].conjugate()
         else:
-            val = osc_integral(rw.curve, None, d, math.hypot(*d), tol=tol).value
+            val = osc_integral(rw.curve, d, math.hypot(*d), tol=tol).value
         cache[d] = val
         return val
 
@@ -369,31 +375,6 @@ def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
         raise InvariantViolation(
             f"frequency-side L2 mass has imaginary residue {total.imag:.3e}")
     return float(total.real)
-
-
-def l2_ratio(rw: RestrictedWave, report: NormReport | None = None) -> float:
-    """Restriction L2 mass per unit length, normalized by sum |a|^2.
-
-    rho lies in (0, #E]: the cap follows from the sup bound and is asserted.
-    """
-    if report is None:
-        report = restriction_norms(rw)
-    rho = report.l2_sq / (report.length * rw.F.sum_sq)
-    if rho > rw.F.circle.count + 1e-9:
-        raise InvariantViolation(f"L2 ratio {rho} exceeds #E cap")
-    return rho
-
-
-def l4_vs_B(rw: RestrictedWave, report: NormReport | None = None) -> tuple[float, int, float]:
-    """(fourth-power restriction mass, arc-crowding max, their ratio)."""
-    if report is None:
-        report = restriction_norms(rw)
-    b = report.arc_max
-    l44 = report.l4_4
-    ratio = l44 / b
-    if not math.isfinite(ratio):
-        raise InvariantViolation("l4^4 / arc max is not finite")
-    return l44, b, ratio
 
 
 # -- Schur blocks over dyadic shells -------------------------------------------

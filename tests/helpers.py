@@ -47,6 +47,32 @@ def analytic_crossing_count(curve, mu, phase_shift):
     return total
 
 
+def validate_brackets(rep, fn):
+    """Re-evaluate every bracket of a sign-change report independently:
+    each must still hold a strict sign change of fn."""
+    for lo, hi in rep.brackets:
+        assert float(fn(lo)) * float(fn(hi)) < 0.0, f"bracket ({lo}, {hi}) lost its sign change"
+
+
+def median_dist(z, w):
+    """|z - w| of two medians, from their doubled coordinates."""
+    d2 = (z.z2[0] - w.z2[0]) ** 2 + (z.z2[1] - w.z2[1]) ** 2
+    return 0.5 * math.sqrt(d2)
+
+
+def shell_window_count(decomp, z, L):
+    """#{w in S_L : |w - z| < lambda^epsilon}, by exact scan."""
+    shell = decomp.shells.get(L, ())
+    # |w - z| < lambda^eps  <=>  |w2 - z2|^2 < 4 n^eps (integer left side)
+    thr = 4.0 * decomp.mset.n**decomp.epsilon
+    count = 0
+    for w in shell:
+        d2 = (w.z2[0] - z.z2[0]) ** 2 + (w.z2[1] - z.z2[1]) ** 2
+        if d2 < thr:
+            count += 1
+    return count
+
+
 def block_matrix(zs, ws, locality):
     """Dense oracle for the Schur kernel: the (rows x cols) matrix of
     1/|z-w|_+^(1/2) between medians ws (rows) and zs (columns), zeroed

@@ -22,6 +22,8 @@ def test_parse_n_spec():
     assert list(parse_n_spec({"range": [3, 6]})) == [3, 4, 5]
     with pytest.raises(ConfigError):
         parse_n_spec(1.5)
+    with pytest.raises(ConfigError):
+        parse_n_spec({"range": [0, 5]})
 
 
 def test_seed_derivation_is_pinned():
@@ -120,6 +122,17 @@ def test_exceptions_rows(tmp_path):
 def test_exit_code_config_error(tmp_path):
     assert main(["nodal", "--n", "7", "--out", str(tmp_path / "x.jsonl")]) == 3
     assert main(["nodal", "--out", str(tmp_path / "y.jsonl")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["nodal", "--n", "0"], ["nodal", "--n=-5"], ["schur", "--n", "0"],
+    ["sweep", "--n", "0"], ["lattice", "--n=-3,5"], ["lattice", "--n", "abc"]])
+def test_bad_n_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.jsonl"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_exit_code_io_error(tmp_path):

@@ -13,7 +13,7 @@ from helpers import scalar_arclog_run, scalar_max_window_count, scalar_pair_prod
 from toral_nodal import lattice
 from toral_nodal.errors import InvariantViolation
 from toral_nodal.lattice import (ANGLE_TIE_TOL, INT64_N_MAX, SIEVE_BLOCK,
-                                 ArcWindow, CircleBlock, LatticeCircle,
+                                 CircleBlock, LatticeCircle,
                                  arclog_bound_audit, cc_exponent,
                                  cc_product_check, chord_arc_max,
                                  enumerate_circle, jarnik_audit, max_arc_count,
@@ -118,7 +118,7 @@ def test_chord_window_n25(circle25):
     b, witness = max_arc_count(circle25)
     assert b == 2
     # the witness window really covers b points
-    half = witness.half_width(circle25.radius)
+    half = window_half_width(witness.kind, circle25.radius, witness.c)
     covered = sum(
         1 for a in circle25.angles
         if abs((a - witness.center_angle + math.pi) % (2 * math.pi) - math.pi)
@@ -229,7 +229,7 @@ def test_window_half_width_formulas():
         2 * math.asin(0.5 / 5.0))
     assert window_half_width("length", 25.0, c=2.0) == pytest.approx(2.0 / 10.0)
     with pytest.raises(ValueError):
-        ArcWindow(0.0, "diagonal").half_width(4.0)
+        window_half_width("diagonal", 4.0)
 
 
 # -- block kernels against the scalar oracles ---------------------------------

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import median_dist, shell_window_count
+
 from toral_nodal.errors import AntipodalMedianError
 from toral_nodal.lattice import enumerate_circle
-from toral_nodal.medians import (build_median_set, dyadic_decompose,
-                                 invert_median, median_dist, median_map,
-                                 median_separation_audit, shell_window_count,
-                                 stability_count)
+from toral_nodal.medians import build_median_set, dyadic_decompose, invert_median, median_map
 
 CIRCLE_POOL = [1, 2, 25, 325, 1105]
 
@@ -84,43 +83,6 @@ def test_nonzero_median_unique_parents(circle1105):
     assert len(mset.by_z2) == len(seen)
 
 
-def test_stability_count_basics(circle25):
-    mset = build_median_set(circle25)
-    w0 = next(m for m in mset.medians if m.z2 != (0, 0) and m.four_delta_sq > 0)
-    count, ratio = stability_count(mset, w0.point, w0.mu_plus())
-    assert count >= 1
-    assert count <= circle25.count**2
-    assert ratio == count / 2  # arc-crowding max of n=25 is 2
-
-
-def test_stability_count_far_away(circle25):
-    mset = build_median_set(circle25)
-    count, _ = stability_count(mset, (1000.0, 1000.0), (-1000.0, 1000.0))
-    assert count == 0
-
-
-def test_stability_count_grid_sample():
-    # sample (z, v) pairs on n = 3250; the count stays far below the trivial
-    # cap and the largest observed count/arc-max ratio is recorded
-    circle = enumerate_circle(3250)
-    mset = build_median_set(circle)
-    lam = circle.radius
-    worst_ratio = 0.0
-    for zr in (0.3 * lam, 0.8 * lam):
-        for za in (0.2, 1.4, 2.9):
-            for va in (0.1, 1.0, 2.2):
-                z = (zr * math.cos(za), zr * math.sin(za))
-                v = (lam * math.cos(va), lam * math.sin(va))
-                count, ratio = stability_count(mset, z, v)
-                assert count <= circle.count**2
-                worst_ratio = max(worst_ratio, ratio)
-    assert math.isfinite(worst_ratio)
-
-
-def _decomp(n, epsilon=0.1):
-    return dyadic_decompose(build_median_set(enumerate_circle(n)), epsilon)
-
-
 def test_shells_partition_starred(circle1105):
     decomp = dyadic_decompose(build_median_set(circle1105))
     lam = circle1105.radius
@@ -173,41 +135,3 @@ def test_shell_window_count(circle1105):
     for L, shell in decomp.shells.items():
         expected = sum(1 for w in shell if median_dist(z, w) < thr)
         assert shell_window_count(decomp, z, L) == expected
-
-
-def test_separation_audit_cases():
-    decomp = _decomp(5525, epsilon=0.45)
-    memberships = {}
-    for med in decomp.starred():
-        memberships.setdefault(decomp.shell_of(med), []).append(med)
-    audited = set()
-    for (K, k), zs in memberships.items():
-        for (L, l), ws in memberships.items():
-            if (K, k) > (L, l):
-                continue
-            for z in zs:
-                for w in ws:
-                    if z.z2 == w.z2 or median_dist(z, w) >= decomp.locality:
-                        continue
-                    rep = median_separation_audit(decomp, z, w)
-                    audited.add(rep.case)
-                    if 2 * K < L:
-                        assert rep.case == "wide" and rep.lower_bound == L * L
-                    elif 2 * K == L and l != 0:
-                        assert rep.case == "adjacent" and rep.lower_bound == L * l
-                    elif K == L and abs(l - k) >= 2:
-                        assert rep.case == "equal"
-                        assert rep.lower_bound == L * abs(l - k)
-                    else:
-                        assert rep.case == "exceptional"
-                        assert rep.lower_bound is None
-                    if rep.ratio is not None:
-                        assert rep.ratio > 0
-    assert "exceptional" in audited  # diagonal-adjacent pairs always exist
-
-
-def test_separation_audit_rejects_same_median():
-    decomp = _decomp(1105)
-    z = decomp.starred()[0]
-    with pytest.raises(ValueError):
-        median_separation_audit(decomp, z, z)

@@ -4,21 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from toral_nodal import wavefield
-from toral_nodal.curve import CircularArc, make_arclength
 from toral_nodal.errors import InvariantViolation
 from toral_nodal.lattice import enumerate_circle
-from toral_nodal.wavefield import (ArcLocalized, CompactBump, CutoffEnvelope,
-                                   Eigenfunction, GaussianRandom, SinglePair,
-                                   UniformRandom, _simpson_weights, arc_points,
-                                   bilinear_H, eigenfunction_from_json,
-                                   eigenfunction_to_json, evaluate, f1_parts,
-                                   make_eigenfunction, parts_identity_residual,
-                                   restrict, smooth_cutoff, smooth_cutoff_d1,
-                                   split_f0_f1, square_expand)
+from toral_nodal.wavefield import (ArcLocalized, Eigenfunction, GaussianRandom,
+                                   SinglePair, UniformRandom, evaluate,
+                                   make_eigenfunction, restrict)
 
 
 def reference_sum(F, x):
@@ -27,29 +19,6 @@ def reference_sum(F, x):
     for mu, a in sorted(F.coeffs.items()):
         total += a * cmath.exp(1j * (mu[0] * x[0] + mu[1] * x[1]))
     return total.real
-
-
-# -- pinned cutoff ----------------------------------------------------------
-
-def test_cutoff_plateau_and_support():
-    x = np.array([-3.0, -2.0, -1.0, -0.3, 0.0, 1.0, 1.5, 2.0, 5.0])
-    th = smooth_cutoff(x)
-    assert np.all(th[np.abs(x) <= 1.0] == 1.0)
-    assert np.all(th[np.abs(x) >= 2.0] == 0.0)
-    assert np.all((0.0 <= th) & (th <= 1.0))
-
-
-@given(st.floats(min_value=-4.0, max_value=4.0))
-def test_cutoff_even_and_smooth(x):
-    assert smooth_cutoff(x) == smooth_cutoff(-x)
-    h = 1e-6
-    fd = (smooth_cutoff(x + h) - smooth_cutoff(x - h)) / (2 * h)
-    assert abs(fd - smooth_cutoff_d1(np.asarray(x))) < 1e-4
-
-
-def test_cutoff_ramp_value():
-    # pinned formula at the ramp midpoint
-    assert smooth_cutoff(1.5) == pytest.approx(math.exp(1 - 1 / (1 - 0.25)))
 
 
 # -- coefficient models -------------------------------------------------------
@@ -187,9 +156,8 @@ def test_imaginary_bound_enforced(circle25, monkeypatch):
     # real pairs with a 1e-12 imaginary defect on the upper member, which
     # the import's Hermitian tolerance (1e-12) still admits
     upper = {p for p in circle25.points if p[1] > 0 or (p[1] == 0 and p[0] > 0)}
-    data = {"n": 25, "coeffs": [[p[0], p[1], 0.2, 1e-12 if p in upper else 0.0]
-                                for p in circle25.points]}
-    F = eigenfunction_from_json(data, circle25)
+    coeffs = {p: complex(0.2, 1e-12 if p in upper else 0.0) for p in circle25.points}
+    F = Eigenfunction(circle=circle25, coeffs=coeffs, check_norm=False)
     pairs = len(F.coeffs) // 2
     assert F.imag_bound == pytest.approx(pairs * 1e-12, rel=1e-3)
     x = np.zeros((4, 2))
@@ -197,25 +165,6 @@ def test_imaginary_bound_enforced(circle25, monkeypatch):
     monkeypatch.setattr(wavefield, "IMAG_TOL", 0.5 * F.imag_bound)
     with pytest.raises(InvariantViolation, match="imaginary"):
         evaluate(F, x)
-
-
-def test_arc_cover_count(circle25, circle1105):
-    from toral_nodal.wavefield import arc_cover_count
-    # wide arcs: one or two pieces; tiny arcs: one per distinct direction
-    assert arc_cover_count(circle25, fraction=0.5) == 1
-    half_dirs = {p for p in circle25.points if p[1] > 0 or (p[1] == 0 and p[0] > 0)}
-    assert arc_cover_count(circle25, fraction=1e-9) == len(half_dirs)
-    c = arc_cover_count(circle1105, fraction=0.01)
-    assert 1 <= c <= 16
-
-
-def test_json_round_trip(circle25):
-    F = make_eigenfunction(circle25, UniformRandom(seed=9))
-    data = eigenfunction_to_json(F)
-    G = eigenfunction_from_json(data, circle25)
-    assert G.coeffs == F.coeffs
-    with pytest.raises(ValueError):
-        eigenfunction_from_json(data, enumerate_circle(2))
 
 
 # -- restriction ----------------------------------------------------------------
@@ -230,10 +179,10 @@ def test_restriction_consistency(circle25, circ):
 def test_restriction_derivative(circle25, circ):
     F = make_eigenfunction(circle25, UniformRandom(seed=8))
     rw = restrict(F, circ)
-    t = np.linspace(0.01, circ.length - 0.01, 77)
+    u = np.linspace(circ.spec.angle0 + 0.01, circ.spec.angle1 - 0.01, 77)
     h = 1e-6
-    fd = (rw.value(t + h) - rw.value(t - h)) / (2 * h)
-    assert np.max(np.abs(fd - rw.derivative(t))) < 1e-5
+    fd = (rw.value_at_param(u + h) - rw.value_at_param(u - h)) / (2 * h)
+    assert np.max(np.abs(fd - rw.derivative_at_param(u))) < 1e-5
 
 
 def test_single_pair_restriction_closed_form(circle25, circ):
@@ -252,177 +201,3 @@ def test_grid_values_cache(circle25, circ):
     t2, f2 = rw.grid_values(128)
     assert np.array_equal(f2[::2], f1)
     assert np.max(np.abs(f2 - rw.value(t2))) < 1e-12
-
-
-# -- cutoff splits ----------------------------------------------------------------
-
-def test_split_sums_back(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=7))
-    rw = restrict(F, circ)
-    f0, f1 = split_f0_f1(rw, 0.1)
-    t = np.linspace(0.0, circ.length, 512)
-    resid = np.abs(f0(t) + f1(t) - rw.value(t))
-    assert np.max(resid) <= 1e-10
-
-
-def test_split_saturated_cutoff(circle25, circ):
-    # sigma above every |phi'_mu| makes the cutoff identically 1: f1 = 0
-    F = make_eigenfunction(circle25, UniformRandom(seed=3))
-    rw = restrict(F, circ)
-    f0, f1 = split_f0_f1(rw, 0.25)
-    # not guaranteed saturated at sigma=1/4 for all directions; use the
-    # pinned criterion instead: every term with |phi'| <= sigma lies in f0
-    t = np.linspace(0.0, circ.length, 256)
-    assert np.max(np.abs(f0(t) + f1(t) - rw.value(t))) <= 1e-10
-
-
-def test_split_f0_vanishes_off_normal_cone(circle25, circ):
-    # mu = (5,0): the angle to the normal stays >= 0.3 on this arc, so
-    # |phi'| >= sin(0.3) > 2 sigma for sigma = 0.1 and f0 is identically 0
-    F = make_eigenfunction(circle25, SinglePair(mu=(5, 0)))
-    rw = restrict(F, circ)
-    f0, f1 = split_f0_f1(rw, 0.1)
-    t = np.linspace(0.0, circ.length, 256)
-    assert np.max(np.abs(f0(t))) == 0.0
-    assert np.max(np.abs(f1(t) - rw.value(t))) <= 1e-12
-
-
-def test_split_f1_vanishes_near_normal(circle25):
-    # short arc around the point where (0,5) is normal: |phi'| stays tiny
-    curve = make_arclength(CircularArc(center=(3.0, 3.0), radius=1.0,
-                                       angle0=math.pi / 2 - 0.02,
-                                       angle1=math.pi / 2 + 0.02))
-    F = make_eigenfunction(circle25, SinglePair(mu=(0, 5)))
-    rw = restrict(F, curve)
-    f0, f1 = split_f0_f1(rw, 0.1)
-    t = np.linspace(0.0, curve.length, 128)
-    assert np.max(np.abs(f1(t))) == 0.0
-
-
-def test_parts_identity(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=7))
-    rw = restrict(F, circ)
-    tau = CompactBump(center=circ.length / 2, width=circ.length / 4)
-    assert parts_identity_residual(rw, 0.1, tau) <= 1e-6
-
-
-def test_parts_vanish_when_f1_vanishes(circle25):
-    curve = make_arclength(CircularArc(center=(3.0, 3.0), radius=1.0,
-                                       angle0=math.pi / 2 - 0.02,
-                                       angle1=math.pi / 2 + 0.02))
-    F = make_eigenfunction(circle25, SinglePair(mu=(0, 5)))
-    rw = restrict(F, curve)
-    f2, f3 = f1_parts(rw, 0.1)
-    t = np.linspace(0.0, curve.length, 64)
-    assert np.max(np.abs(f2(t))) == 0.0
-    assert np.max(np.abs(f3(t))) == 0.0
-
-
-def test_parts_sigma_ladder(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=13))
-    rw = restrict(F, circ)
-    n = 4096
-    t = np.linspace(0.0, circ.length, n + 1)
-    w = _simpson_weights(n, circ.length / n)
-    for sigma in (0.25, 0.2, 0.15, 0.1):
-        f2, f3 = f1_parts(rw, sigma)
-        n2 = math.sqrt(float(w @ np.abs(f2(t)) ** 2))
-        n3 = math.sqrt(float(w @ np.abs(f3(t)) ** 2))
-        assert math.isfinite(n2) and math.isfinite(n3)
-        assert n2 * sigma**2 < 50.0 and n3 * sigma < 50.0
-
-
-# -- bilinear sum -----------------------------------------------------------------
-
-def test_bilinear_single_frequency(circle25, circ):
-    coeffs = {(5, 0): 1.0 + 0j}
-    envs = {(5, 0): CompactBump(center=circ.length / 2, width=circ.length / 3)}
-    rep = bilinear_H(circle25, circ, coeffs, envs)
-    assert rep.norm_h_sq <= rep.close_term + 1e-12
-    assert rep.excess_const == 0.0
-
-
-def test_bilinear_zero_envelopes(circle25, circ):
-    class Zero:
-        def value(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def derivative(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-    coeffs = make_eigenfunction(circle25, UniformRandom(seed=1)).coeffs
-    envs = {p: Zero() for p in circle25.points}
-    rep = bilinear_H(circle25, circ, coeffs, envs)
-    assert rep.norm_h_sq == 0.0 and rep.close_term == 0.0
-
-
-def test_bilinear_cutoff_envelopes(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=7))
-    sigma = 0.1
-    envs = {p: CutoffEnvelope(circ, p, sigma) for p in circle25.points}
-    rep = bilinear_H(circle25, circ, F.coeffs, envs)
-    # each ||h_mu||_2^2 is at most the near-stationary interval length
-    assert rep.close_term <= 2 * 8 * sigma / circ.kmin + 1e-9
-    assert rep.norm_h_sq >= 0.0
-
-
-def test_bilinear_requires_normalization(circle25, circ):
-    with pytest.raises(ValueError):
-        bilinear_H(circle25, circ, {(5, 0): 2.0 + 0j}, {})
-
-
-# -- median expansion of the squared arc piece -------------------------------------
-
-def tightest_center(circle):
-    """Midpoint angle of the closest adjacent pair of circle points."""
-    ang = circle.angles
-    gaps = [(b - a, 0.5 * (a + b)) for a, b in zip(ang, ang[1:])]
-    return min(gaps)[1]
-
-
-def test_square_expand_two_frequencies(circle1105, circ):
-    center = tightest_center(circle1105)
-    side = arc_points(circle1105, center, 0.02)
-    assert len(side) >= 2
-    model = ArcLocalized(center_angle=center, seed=3, fraction=0.02)
-    F = make_eigenfunction(circle1105, model)
-    rw = restrict(F, circ)
-    me = square_expand(rw)
-    assert me.constant_term == 0
-    mu1, mu2 = side[0], side[1]
-    z2 = (mu1[0] + mu2[0], mu1[1] + mu2[1])
-    assert me.bz[z2] == pytest.approx(2 * F.coeffs[mu1] * F.coeffs[mu2])
-    dbl = (2 * mu1[0], 2 * mu1[1])
-    assert me.bz[dbl] == pytest.approx(F.coeffs[mu1] ** 2)
-    assert dbl in me.double_keys
-    # coefficient mass bound
-    b_sum = sum(abs(v) ** 2 for v in me.bz.values())
-    assert b_sum <= 2 * me.side_sum_sq**2 + 1e-12
-
-
-def test_square_expand_single_frequency(circle25, circ):
-    # a one-point arc: p^2 is a pure double frequency
-    model = ArcLocalized(center_angle=circle25.angles[1], seed=0, fraction=0.02)
-    F = make_eigenfunction(circle25, model)
-    me = square_expand(restrict(F, circ))
-    assert len(me.bz) == 1
-    assert list(me.bz) == list(me.double_keys)
-    assert not me.small_gap_keys and not me.starred_keys
-
-
-def test_square_expand_requires_arc_localized(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=1))
-    with pytest.raises(ValueError):
-        square_expand(restrict(F, circ))
-
-
-def test_square_expand_random_audit(circle1105, circ):
-    # the pointwise identity audit runs inside; a pass here is the assertion
-    model = ArcLocalized(center_angle=tightest_center(circle1105), seed=17,
-                         fraction=0.05)
-    F = make_eigenfunction(circle1105, model)
-    me = square_expand(restrict(F, circ))
-    starred_and_small = set(me.small_gap_keys) | set(me.starred_keys)
-    n = circle1105.n
-    for z2 in starred_and_small:
-        assert z2[0] ** 2 + z2[1] ** 2 > n / 4  # |z| > lambda/2 for arc pieces
