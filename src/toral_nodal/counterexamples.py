@@ -186,6 +186,19 @@ def irrational_geodesic_witness(
         min_on_segment=min_val, sign_changes=rep.count)
 
 
+def witness_eigenfunction_json(beta: float, v0: tuple[float, float], k: int) -> dict:
+    """The witness in the eigenfunction wire format, plus its segment."""
+    conv = continued_fraction_approximants(beta, k)
+    p, q = conv[k - 1].p, conv[k - 1].q
+    phase = -(p * v0[0] + q * v0[1])
+    a = 0.5 * complex(math.cos(phase), math.sin(phase))
+    return {
+        "n": p * p + q * q,
+        "coeffs": [[-p, -q, a.real, -a.imag], [p, q, a.real, a.imag]],
+        "segment": {"v0": list(v0), "direction": [1.0, -beta], "t_range": [-1.0, 1.0]},
+    }
+
+
 # -- Legendre polynomials and the sphere ----------------------------------------
 
 def legendre_eval(ell: int, x):

@@ -348,3 +348,45 @@ def phase(curve: ArcLengthCurve, xi: tuple[float, float], t) -> PhaseEval:
         d3phi=fr.third @ e,
         alpha=np.arctan2(dphi, fr.normal @ e),
     )
+
+
+def near_stationary_interval(
+    curve: ArcLengthCurve, xi: tuple[float, float], sigma: float
+) -> tuple[tuple[float, float] | None, float]:
+    """The sublevel set {t : |phi'_xi(t)| < 2 sigma} and its length: one
+    interval or empty under the total-curvature contract; a disconnected set
+    or a length above the proven bound 8*sigma/kmin raises InvariantViolation."""
+    if not 0.0 < sigma <= 0.25:
+        raise ValueError("sigma must lie in (0, 1/4]")
+    nx = math.hypot(xi[0], xi[1])
+    if nx == 0.0:
+        raise ValueError("xi must be nonzero")
+    e = np.array([xi[0] / nx, xi[1] / nx])
+    tt = np.linspace(0.0, curve.length, 4097)
+    dphi = curve.frame(tt).tangent @ e
+    inside = np.abs(dphi) < 2.0 * sigma
+    if not np.any(inside):
+        return None, 0.0
+    idx = np.flatnonzero(inside)
+    if idx[-1] - idx[0] + 1 != len(idx):
+        raise InvariantViolation("near-stationary set is disconnected")
+
+    def edge(t_in: float, t_out: float) -> float:
+        for _ in range(60):
+            mid = 0.5 * (t_in + t_out)
+            if abs(float(curve.frame(mid).tangent @ e)) < 2.0 * sigma:
+                t_in = mid
+            else:
+                t_out = mid
+        return 0.5 * (t_in + t_out)
+
+    left = 0.0 if idx[0] == 0 else edge(tt[idx[0]], tt[idx[0] - 1])
+    right = (curve.length if idx[-1] == len(tt) - 1
+             else edge(tt[idx[-1]], tt[idx[-1] + 1]))
+    measured = right - left
+    bound = 8.0 * sigma / curve.kmin
+    if measured > bound + 1e-12:
+        raise InvariantViolation(
+            f"near-stationary interval length {measured:.6g} exceeds "
+            f"8*sigma/kmin = {bound:.6g}")
+    return (left, right), measured

@@ -377,6 +377,29 @@ def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
     return float(total.real)
 
 
+def l2_ratio(rw: RestrictedWave, report: NormReport | None = None) -> float:
+    """Restriction L2 mass per unit length, normalized by sum |a|^2; it lies
+    in (0, #E], a cap that follows from the sup bound and is asserted."""
+    if report is None:
+        report = restriction_norms(rw)
+    rho = report.l2_sq / (report.length * rw.F.sum_sq)
+    if rho > rw.F.circle.count + 1e-9:
+        raise InvariantViolation(f"L2 ratio {rho} exceeds #E cap")
+    return rho
+
+
+def l4_vs_B(rw: RestrictedWave, report: NormReport | None = None) -> tuple[float, int, float]:
+    """(fourth-power restriction mass, arc-crowding max, their ratio)."""
+    if report is None:
+        report = restriction_norms(rw)
+    b = report.arc_max
+    l44 = report.l4_4
+    ratio = l44 / b
+    if not math.isfinite(ratio):
+        raise InvariantViolation("l4^4 / arc max is not finite")
+    return l44, b, ratio
+
+
 # -- Schur blocks over dyadic shells -------------------------------------------
 
 @dataclass(frozen=True)

@@ -36,6 +36,39 @@ IMAG_TOL = 1e-10
 _EVAL_CHUNK = 4096
 
 
+# -- pinned smooth cutoff ----------------------------------------------------
+
+def _bump(r, order: int = 0) -> np.ndarray:
+    """b(r) = exp(1 - 1/(1 - r^2)) on 0 < r < 1 (order 0), or its first or
+    second r-derivative (order 1 or 2); 0 elsewhere, and 0 where r * r
+    rounds to 1 (as it is to double precision), so nothing divides by 0."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    live = (r > 0.0) & (r * r < 1.0)
+    rl = r[live]
+    g = 1.0 / (1.0 - rl * rl)
+    b = np.exp(1.0 - g)
+    if order == 1:
+        b = -b * 2.0 * rl * g * g
+    elif order == 2:
+        gp = 2.0 * rl * g * g
+        b = b * (gp * gp - (2.0 * g * g + 8.0 * rl * rl * g**3))
+    out[live] = b
+    return out
+
+
+def smooth_cutoff(x) -> np.ndarray:
+    """theta: even, 1 on |x|<=1, 0 on |x|>=2, exp ramp between."""
+    r = np.abs(np.asarray(x, dtype=float)) - 1.0
+    return np.where(r <= 0.0, 1.0, _bump(r))
+
+
+def smooth_cutoff_d1(x) -> np.ndarray:
+    """Derivative of the pinned cutoff (analytic on the ramp, 0 elsewhere)."""
+    xx = np.asarray(x, dtype=float)
+    return _bump(np.abs(xx) - 1.0, 1) * np.sign(xx)
+
+
 # -- coefficient models ------------------------------------------------------
 
 def _upper_half(p: Point) -> bool:
@@ -132,6 +165,22 @@ class ArcLocalized:
 CoefficientModel = SinglePair | UniformRandom | GaussianRandom | ArcLocalized
 
 
+def arc_cover_count(circle: LatticeCircle, fraction: float = 0.01) -> int:
+    """Number of arcs of angular width 2*pi*fraction covering the points up
+    to the antipodal identification (greedy sweep over [0, pi); wrap-around
+    can cost one extra arc): the number of arc-localized pieces."""
+    angles = sorted(_angle(p) % math.pi for p in circle.points)
+    if not angles:
+        return 0
+    width = 2.0 * math.pi * fraction
+    count, covered_to = 0, -math.inf
+    for a in angles:
+        if a > covered_to:
+            count += 1
+            covered_to = a + width
+    return count
+
+
 # -- eigenfunctions ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -225,6 +274,23 @@ def evaluate(F: Eigenfunction, x) -> np.ndarray:
     if out.size and np.max(np.abs(out)) > F.sum_abs + 1e-12:
         raise InvariantViolation("evaluation exceeded the coefficient sup bound")
     return out
+
+
+def eigenfunction_to_json(F: Eigenfunction) -> dict:
+    return {
+        "n": F.circle.n,
+        "coeffs": [[p[0], p[1], F.coeffs[p].real, F.coeffs[p].imag]
+                   for p in sorted(F.coeffs)],
+    }
+
+
+def eigenfunction_from_json(data: dict, circle: LatticeCircle) -> Eigenfunction:
+    """Hermitian symmetry is enforced on import; normalization is not (the
+    wire format also carries fixtures like the unit-amplitude witnesses)."""
+    if circle.n != data["n"]:
+        raise ValueError("circle does not match serialized eigenvalue")
+    coeffs = {(int(x), int(y)): complex(re, im) for x, y, re, im in data["coeffs"]}
+    return Eigenfunction(circle=circle, coeffs=coeffs, check_norm=False)
 
 
 # -- restriction to a curve --------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toral_nodal.curve import (ArcLengthCurve, CircularArc, CubicArc, EllipseArc,
-                               make_arclength, phase)
+                               make_arclength, near_stationary_interval, phase)
 
 
 def reference_arclength(spec, u0, u1, n=200_000):
@@ -178,6 +178,37 @@ def test_stationary_direction_values(circ):
     assert abs(pe_t.d2phi) < 1e-9
     pe_n = phase(circ, tuple(nrm), np.asarray(t0))
     assert abs(pe_n.dphi) < 1e-9
+
+
+def test_near_stationary_interval_circle():
+    curve = make_arclength(CircularArc(center=(0, 0), radius=1.0,
+                                       angle0=-0.6, angle1=0.6))
+    interval, length = near_stationary_interval(curve, (1.0, 0.0), 0.1)
+    assert interval is not None
+    assert length == pytest.approx(2 * math.asin(0.2), abs=1e-9)
+    assert length <= 8 * 0.1 / curve.kmin
+
+
+def test_near_stationary_empty(circ):
+    # direction far from every normal of the arc
+    interval, length = near_stationary_interval(circ, (1.0, -1.0), 0.05)
+    assert interval is None and length == 0.0
+
+
+def test_near_stationary_ellipse_single_interval(ell):
+    t0 = 0.4 * ell.length
+    nrm = ell.frame(np.asarray(t0)).normal
+    interval, length = near_stationary_interval(ell, tuple(nrm), 0.05)
+    assert interval is not None
+    assert interval[0] < t0 < interval[1]
+    assert length <= 8 * 0.05 / ell.kmin
+
+
+def test_near_stationary_sigma_validation(circ):
+    with pytest.raises(ValueError):
+        near_stationary_interval(circ, (1.0, 0.0), 0.3)
+    with pytest.raises(ValueError):
+        near_stationary_interval(circ, (0.0, 0.0), 0.1)
 
 
 def test_grid_cache_consistency(ell):

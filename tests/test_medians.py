@@ -8,7 +8,8 @@ from helpers import median_dist, shell_window_count
 
 from toral_nodal.errors import AntipodalMedianError
 from toral_nodal.lattice import enumerate_circle
-from toral_nodal.medians import build_median_set, dyadic_decompose, invert_median, median_map
+from toral_nodal.medians import (build_median_set, dyadic_decompose, invert_median, median_map,
+                                 stability_count)
 
 CIRCLE_POOL = [1, 2, 25, 325, 1105]
 
@@ -81,6 +82,39 @@ def test_nonzero_median_unique_parents(circle1105):
             continue
         assert seen.setdefault(med.z2, med.parents) == med.parents
     assert len(mset.by_z2) == len(seen)
+
+
+def test_stability_count_basics(circle25):
+    mset = build_median_set(circle25)
+    w0 = next(m for m in mset.medians if m.z2 != (0, 0) and m.four_delta_sq > 0)
+    count, ratio = stability_count(mset, w0.point, w0.mu_plus())
+    assert count >= 1
+    assert count <= circle25.count**2
+    assert ratio == count / 2  # arc-crowding max of n=25 is 2
+
+
+def test_stability_count_far_away(circle25):
+    mset = build_median_set(circle25)
+    count, _ = stability_count(mset, (1000.0, 1000.0), (-1000.0, 1000.0))
+    assert count == 0
+
+
+def test_stability_count_grid_sample():
+    # sample (z, v) pairs on n = 3250; the count stays far below the trivial
+    # cap and the largest observed count/arc-max ratio is recorded
+    circle = enumerate_circle(3250)
+    mset = build_median_set(circle)
+    lam = circle.radius
+    worst_ratio = 0.0
+    for zr in (0.3 * lam, 0.8 * lam):
+        for za in (0.2, 1.4, 2.9):
+            for va in (0.1, 1.0, 2.2):
+                z = (zr * math.cos(za), zr * math.sin(za))
+                v = (lam * math.cos(va), lam * math.sin(va))
+                count, ratio = stability_count(mset, z, v)
+                assert count <= circle.count**2
+                worst_ratio = max(worst_ratio, ratio)
+    assert math.isfinite(worst_ratio)
 
 
 def test_shells_partition_starred(circle1105):

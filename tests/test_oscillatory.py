@@ -14,10 +14,11 @@ from toral_nodal.lattice import enumerate_circle
 from toral_nodal.medians import build_median_set, dyadic_decompose
 from toral_nodal.nodal import count_sign_changes
 from toral_nodal.oscillatory import (_coords, _window_pairs, bilinear_form_bound,
-                                     fourier_l2_sq,
+                                     fourier_l2_sq, l2_ratio, l4_vs_B,
                                      osc_integral, restriction_norms,
                                      schur_family, schur_norms, vdc_audit)
-from toral_nodal.wavefield import SinglePair, UniformRandom, make_eigenfunction, restrict
+from toral_nodal.wavefield import (ArcLocalized, SinglePair, UniformRandom,
+                                   make_eigenfunction, restrict)
 
 # Bessel J0(10), frozen from the alternating power series
 # sum_m (-(x/2)^2)^m / (m!)^2 evaluated in extended precision.
@@ -157,6 +158,31 @@ def test_fourier_side_l2(circle25, circ):
     rep = restriction_norms(rw, fourier_check=True)  # raises on disagreement
     side = fourier_l2_sq(rw)
     assert side == pytest.approx(rep.l2_sq, rel=1e-6)
+
+
+def test_l2_ratio_single_pair(circle25, circ):
+    F = make_eigenfunction(circle25, SinglePair(mu=(3, 4)))
+    rw = restrict(F, circ)
+    rep = restriction_norms(rw)
+    rho = l2_ratio(rw, rep)
+    assert 0.0 < rho <= circle25.count + 1e-9
+    assert rho == pytest.approx(rep.l2_sq / rep.length, rel=1e-12)
+
+
+def test_l2_ratio_concentrated(circle1105, circ):
+    ang = circle1105.angles
+    center = min((b - a, 0.5 * (a + b)) for a, b in zip(ang, ang[1:]))[1]
+    F = make_eigenfunction(circle1105, ArcLocalized(center_angle=center,
+                                                    seed=2, fraction=0.05))
+    rho = l2_ratio(restrict(F, circ))
+    assert rho > 0.0
+
+
+def test_l4_ratio(circle25, circ):
+    F = make_eigenfunction(circle25, UniformRandom(seed=6))
+    rw = restrict(F, circ)
+    l44, b, ratio = l4_vs_B(rw)
+    assert b == 2 and ratio == pytest.approx(l44 / 2)
 
 
 NORM_CASES = ([(fx, 27625, seed) for fx in ("circ", "ell", "cub") for seed in (0, 1, 2)]
