@@ -8,7 +8,7 @@ construction: seed_i = first 8 bytes of SHA-256("<master>:<index>"), big
 endian, so nothing depends on scheduling order.
 
 Exit codes: 0 success, 2 a proven invariant failed somewhere, 3 config
-error, 4 I/O error, 5 numerical refinement hit its node cap.
+or usage error, 4 I/O error, 5 numerical refinement hit its node cap.
 """
 
 from __future__ import annotations
@@ -33,30 +33,18 @@ from .counterexamples import (continued_fraction_approximants,
                               parallel_exception_search,
                               rational_geodesic_eigenfunction)
 from .errors import ConfigError, InvariantViolation, QuadratureError
-from .fixtures import curve_from_config, model_from_config
+from .fixtures import config_value, curve_from_config, model_from_config
 from .lattice import (INT64_N_MAX, CircleBlock, LatticeCircle,
                       arclog_bound_audit, cc_product_check, enumerate_circle,
                       jarnik_audit, max_arc_count, representable_up_to)
 from .medians import build_median_set, dyadic_decompose
 from .nodal import theorem_harness
 from .oscillatory import bilinear_form_bound, schur_family, schur_norms
-from .wavefield import make_eigenfunction, restrict
+from .wavefield import ArcLocalized, SinglePair, make_eigenfunction, restrict
 
 SCHEMA_VERSION = "1"
 
 ENV_OUTDIR = "TORAL_NODAL_OUTDIR"
-
-_THEOREM_FIELDS = {
-    "kind": str, "n": int, "lambda": float, "npoints": int, "arc_max": int,
-    "zeros": int, "stable": bool, "l1": float, "l2": float, "l4": float,
-    "lsup": float, "ratio_zeros_arcmax": float, "ratio_zeros_l1mass": float,
-    "ratio_l4_arcmax": float, "zeros_over_freq": float, "seed": int,
-}
-
-_WITNESS_FIELDS = {
-    "kind": str, "beta": float, "k": int, "p": int, "q": int,
-    "eigenvalue": int, "min_on_segment": float, "zeros": int,
-}
 
 SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
     ("lattice", "lattice"): {
@@ -65,8 +53,6 @@ SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
         "arclog_m": int, "arclog_bound": float, "arclog_ok": bool,
         "cc_ok": bool, "arcmax_over_log": float,
     },
-    ("nodal", "nodal"): _THEOREM_FIELDS,
-    ("nodal", "witness"): _WITNESS_FIELDS,
     ("schur", "schur-block"): {
         "kind": str, "n": int, "epsilon": float, "K": int, "L": int,
         "rows": int, "cols": int, "nnz": int, "norm_1to1": float,
@@ -80,7 +66,12 @@ SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
         "ratio_small_gap": float, "block_flat_gap": float,
         "truncation_term": float,
     },
-    ("sweep", "nodal"): _THEOREM_FIELDS,
+    ("sweep", "nodal"): {
+        "kind": str, "n": int, "lambda": float, "npoints": int, "arc_max": int,
+        "zeros": int, "stable": bool, "l1": float, "l2": float, "l4": float,
+        "lsup": float, "ratio_zeros_arcmax": float, "ratio_zeros_l1mass": float,
+        "ratio_l4_arcmax": float, "zeros_over_freq": float, "seed": int,
+    },
     ("exceptions", "rational-geodesic"): {
         "kind": str, "p": int, "q": int, "c": float, "n": int,
         "eigenvalue": int, "max_on_geodesic": float,
@@ -89,7 +80,10 @@ SCHEMAS: dict[tuple[str, str], dict[str, type]] = {
         "kind": str, "beta": float, "k": int, "p": int, "q": int,
         "error": float, "inv_q_sq": float,
     },
-    ("exceptions", "witness"): _WITNESS_FIELDS,
+    ("exceptions", "witness"): {
+        "kind": str, "beta": float, "k": int, "p": int, "q": int,
+        "eigenvalue": int, "min_on_segment": float, "zeros": int,
+    },
     ("exceptions", "sphere"): {
         "kind": str, "theta0": float, "branch": str, "exceptional_degree": int,
         "min_prime_value": float, "primes_checked": int,
@@ -143,7 +137,6 @@ class ExperimentConfig:
     theta0: list[float] = field(default_factory=lambda: [math.pi / 2])
     prime_cap: int = 101
     rational: list = field(default_factory=lambda: [[1, 0, 0.0, 1], [3, 4, 0.0, 2]])
-    witness_demo: bool = False
     out: str | None = None
     csv_mirror: bool = True
     svg: bool = False
@@ -177,6 +170,21 @@ def parse_n_spec(spec) -> list[int] | range:
     return values
 
 
+def _rational_entry(entry) -> list:
+    """A [p, q, c, n] vanishing-family entry: a primitive direction (p, q),
+    a real shift c and a positive integer n."""
+    if not (isinstance(entry, list) and len(entry) == 4):
+        raise ConfigError(f"rational entries must be [p, q, c, n], got {entry!r}")
+    p, q, c, n = entry
+    config_value("rational p", p, int)
+    config_value("rational q", q, int)
+    config_value("rational c", c, float)
+    config_value("rational n", n, int, lambda x: x >= 1, "a positive integer")
+    if math.gcd(p, q) != 1:
+        raise ConfigError(f"rational direction ({p}, {q}) must have gcd(p, q) = 1")
+    return entry
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
@@ -189,48 +197,59 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     known = {
         "command", "n", "curve", "model", "seeds", "epsilon",
         "cc_max_subset", "beta", "v0", "k_max", "theta0", "prime_cap",
-        "rational", "witness_demo", "out", "csv", "svg", "jobs",
+        "rational", "out", "csv", "svg", "jobs",
     }
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    config_value("command", raw.get("command", ""), str)
 
     cfg = ExperimentConfig(command=args.command, n_values=[])
     if "n" in raw:
         cfg.n_values = parse_n_spec(raw["n"])
     if args.n is not None:
         cfg.n_values = parse_n_spec(args.n)
-    cfg.curve = raw.get("curve", cfg.curve)
-    cfg.model = raw.get("model", cfg.model)
-    seeds = raw.get("seeds", {})
-    cfg.master_seed = int(seeds.get("master", 0))
-    cfg.seed_count = int(seeds.get("count", 1))
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.seeds is not None:
-        cfg.seed_count = args.seeds
-    for name in ("epsilon", "cc_max_subset", "beta", "k_max", "prime_cap",
-                 "witness_demo"):
+    cfg.curve = config_value("curve", raw.get("curve", cfg.curve), dict, None, "an object")
+    cfg.model = config_value("model", raw.get("model", cfg.model), dict, None, "an object")
+    seeds = config_value("seeds", raw.get("seeds", {}), dict,
+                         lambda s: set(s) <= {"master", "count"}, "an object of master, count")
+    cfg.master_seed = config_value(
+        "seeds.master", seeds.get("master", 0) if args.seed is None else args.seed, int)
+    cfg.seed_count = config_value(
+        "seeds.count", seeds.get("count", 1) if args.seeds is None else args.seeds, int,
+        lambda x: x >= 1, "a positive integer")
+    for name, kind, ok, what in (
+            ("epsilon", float, lambda x: 0.0 < x < 0.5, "a number in (0, 1/2)"),
+            ("cc_max_subset", int, lambda x: x >= 2, "an integer >= 2"),
+            ("beta", float, None, ""),
+            ("k_max", int, lambda x: x >= 1, "a positive integer"),
+            ("prime_cap", int, lambda x: 2 <= x <= 10_000, "an integer in [2, 10^4]")):
         if name in raw:
-            setattr(cfg, name, raw[name])
+            setattr(cfg, name, config_value(name, raw[name], kind, ok, what))
     if "v0" in raw:
-        cfg.v0 = tuple(raw["v0"])
+        v0 = config_value("v0", raw["v0"], list, lambda v: len(v) == 2, "a point [x, y]")
+        cfg.v0 = tuple(config_value("v0", v, float) for v in v0)
     if "theta0" in raw:
         t = raw["theta0"]
-        cfg.theta0 = [float(v) for v in (t if isinstance(t, list) else [t])]
+        cfg.theta0 = [float(config_value("theta0", v, float,
+                                         lambda x: 0.0 < x <= 0.5 * math.pi, "in (0, pi/2]"))
+                      for v in (t if isinstance(t, list) else [t])]
     if "rational" in raw:
-        cfg.rational = raw["rational"]
+        cfg.rational = [_rational_entry(e)
+                        for e in config_value("rational", raw["rational"], list)]
     cfg.out = raw.get("out")
+    if cfg.out is not None:
+        config_value("out", cfg.out, str)
     if args.out is not None:
         cfg.out = args.out
-    cfg.csv_mirror = raw.get("csv", True) if args.csv is None else args.csv
-    cfg.svg = raw.get("svg", False) if args.svg is None else args.svg
-    cfg.jobs = int(raw.get("jobs", 1))
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if not cfg.n_values and cfg.command in ("lattice", "nodal", "schur", "sweep"):
+    cfg.csv_mirror = config_value("csv", raw.get("csv", True) if args.csv is None else args.csv,
+                                  bool)
+    cfg.svg = config_value("svg", raw.get("svg", False) if args.svg is None else args.svg, bool)
+    cfg.jobs = config_value("jobs", raw.get("jobs", 1) if args.jobs is None else args.jobs,
+                            int, lambda x: x >= 1, "a positive integer")
+    if not cfg.n_values and cfg.command in ("lattice", "schur", "sweep"):
         raise ConfigError("no n values configured (use --n or the config file)")
     return cfg
 
@@ -304,6 +323,10 @@ def _one_nodal_row(cfg: ExperimentConfig, n: int, seed: int) -> dict:
         raise ConfigError(f"n={n} is not a sum of two squares")
     curve = curve_from_config(cfg.curve)
     model = model_from_config(cfg.model, seed)
+    if isinstance(model, SinglePair) and model.mu not in circle.points:
+        raise ConfigError(f"single-pair mu {list(model.mu)} is not on the circle n={n}")
+    if isinstance(model, ArcLocalized) and not model.side_points(circle):
+        raise ConfigError(f"the arc-localized model's arc holds no point of n={n}")
     rw = restrict(make_eigenfunction(circle, model), curve)
     row = theorem_harness(rw, seed=seed).as_row()
     row["kind"] = "nodal"
@@ -329,13 +352,6 @@ def _witness_rows(cfg: ExperimentConfig) -> list[dict]:
             "eigenvalue": w.eigenvalue, "min_on_segment": w.min_on_segment,
             "zeros": w.sign_changes,
         })
-    return rows
-
-
-def nodal_rows(cfg: ExperimentConfig) -> list[dict]:
-    rows, _ = sweep_rows(cfg)
-    if cfg.witness_demo:
-        rows += _witness_rows(cfg)
     return rows
 
 
@@ -402,8 +418,11 @@ def exceptions_rows(cfg: ExperimentConfig) -> list[dict]:
             "kind": "rational-geodesic", "p": int(p), "q": int(q), "c": float(c),
             "n": int(n), "eigenvalue": wave.eigenvalue, "max_on_geodesic": worst,
         })
-    for k, approx in enumerate(
-            continued_fraction_approximants(cfg.beta, cfg.k_max), start=1):
+    convergents = continued_fraction_approximants(cfg.beta, cfg.k_max)
+    if len(convergents) < cfg.k_max:
+        raise ConfigError(f"beta {cfg.beta!r} has only {len(convergents)} convergents; "
+                          f"k_max {cfg.k_max} witnesses need an irrational beta")
+    for k, approx in enumerate(convergents, start=1):
         rows.append({
             "kind": "convergent", "beta": cfg.beta, "k": k, "p": approx.p,
             "q": approx.q, "error": approx.error, "inv_q_sq": 1.0 / approx.q**2,
@@ -528,15 +547,21 @@ def _write_svg(path: Path, rows: list[dict]) -> None:
 
 # -- entry point ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit 3); --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toral-nodal",
         description="Audits and experiments for nodal intersections of toral "
                     "eigenfunctions with curved arcs")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
         ("lattice", "circle enumeration and short-arc audits"),
-        ("nodal", "sign-change counting rows"),
         ("schur", "median shells, block norms, bilinear bound"),
         ("sweep", "cross product of n and seeds, with summary"),
         ("exceptions", "geodesic and sphere counterexample demos"),
@@ -558,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(cfg: ExperimentConfig) -> Path:
     if cfg.command == "lattice":
         rows, summary = lattice_rows(cfg), None
-    elif cfg.command == "nodal":
-        rows, summary = nodal_rows(cfg), None
     elif cfg.command == "schur":
         rows, summary = schur_rows(cfg), None
     elif cfg.command == "sweep":
@@ -572,9 +595,8 @@ def run(cfg: ExperimentConfig) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        out = run(load_config(args))
+        out = run(load_config(build_parser().parse_args(argv)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

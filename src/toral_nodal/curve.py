@@ -1,16 +1,13 @@
 """Arc-length curves with pinched positive curvature, and their direction
 phase functions.
 
-Only curve kinds with analytic third derivatives are admitted: the phase
-derivative bounds need |kappa'|_inf, and finite-difference fallbacks would
-poison the audits.  Construction rejects curvature sign changes, zero
-curvature, and total curvature >= pi/2 (the regime every downstream bound
-assumes).  Circular arcs are handled in closed form; other kinds invert the
-cumulative arc length by Newton iteration on a Gauss-Legendre table, so the
-returned parametrization is unit-speed to machine precision.  All geometry
-at arc length t (point, tangent, normal, second and third derivatives,
-curvature) comes from one ``frame(t)``, which inverts t once; ``gamma(t)``
-is the point-only path.
+Construction rejects curvature sign changes, zero curvature, and total
+curvature >= pi/2 (the regime every downstream bound assumes).  Circular
+arcs are handled in closed form; other kinds invert the cumulative arc
+length by Newton iteration on a Gauss-Legendre table, so the returned
+parametrization is unit-speed to machine precision.  The point, unit
+tangent and normal at arc length t come from one ``frame(t)``, which
+inverts t once; ``gamma(t)`` is the point-only path.
 """
 
 from __future__ import annotations
@@ -56,10 +53,6 @@ class CircularArc:
         u = np.asarray(u, dtype=float)
         return np.stack([-self.radius * np.cos(u), -self.radius * np.sin(u)], axis=-1)
 
-    def d3(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([self.radius * np.sin(u), -self.radius * np.cos(u)], axis=-1)
-
 
 @dataclass(frozen=True)
 class EllipseArc:
@@ -83,10 +76,6 @@ class EllipseArc:
         u = np.asarray(u, dtype=float)
         return np.stack([-self.a * np.cos(u), -self.b * np.sin(u)], axis=-1)
 
-    def d3(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.stack([self.a * np.sin(u), -self.b * np.cos(u)], axis=-1)
-
 
 @dataclass(frozen=True)
 class CubicArc:
@@ -96,13 +85,13 @@ class CubicArc:
     y_coeffs: tuple[float, float, float, float]
     angle0: float  # parameter range; named for config uniformity
     angle1: float
-    # (x, y) coefficients of the k-th derivative at index k - 1, k = 1, 2, 3
+    # (x, y) coefficients of the k-th derivative at index k - 1, k = 1, 2
     _ders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         der = np.polynomial.polynomial.polyder
         object.__setattr__(self, "_ders", tuple(
-            (der(self.x_coeffs, k), der(self.y_coeffs, k)) for k in (1, 2, 3)))
+            (der(self.x_coeffs, k), der(self.y_coeffs, k)) for k in (1, 2)))
 
     def _eval(self, u, cx, cy):
         u = np.asarray(u, dtype=float)
@@ -119,24 +108,18 @@ class CubicArc:
     def d2(self, u):
         return self._eval(u, *self._ders[1])
 
-    def d3(self, u):
-        return self._eval(u, *self._ders[2])
-
 
 CurveSpec = Union[CircularArc, EllipseArc, CubicArc]
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Geometry at arc length t.  normal is the unit normal on the
-    curvature side, so second = curvature * normal with curvature > 0."""
+    """Point, unit tangent and unit normal at arc length t; the normal
+    points to the curvature side."""
 
     point: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
-    second: np.ndarray
-    third: np.ndarray
-    curvature: np.ndarray
 
 
 @dataclass
@@ -149,10 +132,7 @@ class ArcLengthCurve:
 
     spec: CurveSpec
     length: float
-    kmin: float
     kmax: float
-    kprime_max: float
-    total_curvature: float
     _u0: float
     _u1: float
     _orient: float  # sign of the signed curvature of the parametrization
@@ -193,31 +173,15 @@ class ArcLengthCurve:
         return self.spec.point(self.u_of_t(t))
 
     def frame(self, t) -> Frame:
-        """The point, its first three t-derivatives, the normal and the
-        curvature at arc length t, from one arc-length inversion.  The
-        second and third derivatives come from the chain rule, independent
-        of the kappa * n identity."""
+        """The point, unit tangent and normal at arc length t, from one
+        arc-length inversion."""
         u = self.u_of_t(t)
         d1 = self.spec.d1(u)
-        d2 = self.spec.d2(u)
-        d3 = self.spec.d3(u)
-        v = np.linalg.norm(d1, axis=-1)
-        tangent = d1 / v[..., None]
-        vp = np.einsum("...k,...k->...", d1, d2) / v
-        vpp = (np.einsum("...k,...k->...", d2, d2)
-               + np.einsum("...k,...k->...", d1, d3) - vp**2) / v
-        t_prime = d2 / v[..., None] - d1 * (vp / v**2)[..., None]
-        t_second = (d3 / v[..., None]
-                    - 2.0 * d2 * (vp / v**2)[..., None]
-                    - d1 * (vpp / v**2)[..., None]
-                    + 2.0 * d1 * (vp**2 / v**3)[..., None])
+        tangent = d1 / np.linalg.norm(d1, axis=-1)[..., None]
         return Frame(
             point=self.spec.point(u),
             tangent=tangent,
             normal=self._orient * np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1),
-            second=t_prime / v[..., None],
-            third=t_second / v[..., None] ** 2 - t_prime * (vp / v**3)[..., None],
-            curvature=np.abs(_cross(d1, d2)) / v**3,
         )
 
     # -- cached uniform grids ----------------------------------------------
@@ -285,27 +249,18 @@ def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
         raise ValueError(
             f"total curvature {total_curv:.6f} >= pi/2; supply a shorter arc")
 
-    kappa = np.abs(ks)
-    ksp = _cross(d1, spec.d3(uu)) / v**3 - 3.0 * ks * (
-        np.einsum("...k,...k->...", d1, d2) / v) / v
     if isinstance(spec, CircularArc):  # closed form, no table error
         length = spec.radius * (u1 - u0)
-        kmin = kmax = 1.0 / spec.radius
-        kprime = 0.0
-        total_curv = u1 - u0
-        if total_curv >= 0.5 * math.pi:
+        kmax = 1.0 / spec.radius
+        if u1 - u0 >= 0.5 * math.pi:
             raise ValueError("total curvature >= pi/2; supply a shorter arc")
     else:
         length = float(s_nodes[-1])
-        kmin, kmax = float(np.min(kappa)), float(np.max(kappa))
-        kprime = float(np.max(np.abs(ksp / v)))
+        kmax = float(np.max(np.abs(ks)))
     curve = ArcLengthCurve(
         spec=spec,
         length=length,
-        kmin=kmin,
         kmax=kmax,
-        kprime_max=kprime,
-        total_curvature=total_curv,
         _u0=u0,
         _u1=u1,
         _orient=orient,
@@ -324,69 +279,13 @@ def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
 class PhaseEval:
     phi: np.ndarray
     dphi: np.ndarray
-    d2phi: np.ndarray
-    d3phi: np.ndarray
-    alpha: np.ndarray
 
 
 def phase(curve: ArcLengthCurve, xi: tuple[float, float], t) -> PhaseEval:
-    """The direction phase <xi/|xi|, gamma(t)> and its first three derivatives.
-
-    alpha is the angle between xi and the normal, so dphi = sin(alpha) and
-    d2phi = kappa * cos(alpha).
-    """
+    """The direction phase <xi/|xi|, gamma(t)> and its t-derivative."""
     nx = math.hypot(xi[0], xi[1])
     if nx == 0.0:
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
     fr = curve.frame(np.asarray(t, dtype=float))
-    dphi = fr.tangent @ e
-    return PhaseEval(
-        phi=fr.point @ e,
-        dphi=dphi,
-        d2phi=fr.second @ e,
-        d3phi=fr.third @ e,
-        alpha=np.arctan2(dphi, fr.normal @ e),
-    )
-
-
-def near_stationary_interval(
-    curve: ArcLengthCurve, xi: tuple[float, float], sigma: float
-) -> tuple[tuple[float, float] | None, float]:
-    """The sublevel set {t : |phi'_xi(t)| < 2 sigma} and its length: one
-    interval or empty under the total-curvature contract; a disconnected set
-    or a length above the proven bound 8*sigma/kmin raises InvariantViolation."""
-    if not 0.0 < sigma <= 0.25:
-        raise ValueError("sigma must lie in (0, 1/4]")
-    nx = math.hypot(xi[0], xi[1])
-    if nx == 0.0:
-        raise ValueError("xi must be nonzero")
-    e = np.array([xi[0] / nx, xi[1] / nx])
-    tt = np.linspace(0.0, curve.length, 4097)
-    dphi = curve.frame(tt).tangent @ e
-    inside = np.abs(dphi) < 2.0 * sigma
-    if not np.any(inside):
-        return None, 0.0
-    idx = np.flatnonzero(inside)
-    if idx[-1] - idx[0] + 1 != len(idx):
-        raise InvariantViolation("near-stationary set is disconnected")
-
-    def edge(t_in: float, t_out: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (t_in + t_out)
-            if abs(float(curve.frame(mid).tangent @ e)) < 2.0 * sigma:
-                t_in = mid
-            else:
-                t_out = mid
-        return 0.5 * (t_in + t_out)
-
-    left = 0.0 if idx[0] == 0 else edge(tt[idx[0]], tt[idx[0] - 1])
-    right = (curve.length if idx[-1] == len(tt) - 1
-             else edge(tt[idx[-1]], tt[idx[-1] + 1]))
-    measured = right - left
-    bound = 8.0 * sigma / curve.kmin
-    if measured > bound + 1e-12:
-        raise InvariantViolation(
-            f"near-stationary interval length {measured:.6g} exceeds "
-            f"8*sigma/kmin = {bound:.6g}")
-    return (left, right), measured
+    return PhaseEval(phi=fr.point @ e, dphi=fr.tangent @ e)

@@ -3,6 +3,7 @@ suite, the CLI, and the experiment scripts."""
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .curve import ArcLengthCurve, CircularArc, CubicArc, EllipseArc, make_arclength
@@ -37,6 +38,18 @@ FIXTURES = {
 @lru_cache(maxsize=None)
 def _memo_fixture(name: str) -> ArcLengthCurve:
     return FIXTURES[name]()
+
+
+def config_value(name: str, value, kind: type, ok=None, what: str = ""):
+    """value, when it is a kind (an int, or a finite number for float; a bool
+    is neither) that passes ok; ConfigError otherwise."""
+    if kind is float:
+        good = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        good = isinstance(value, kind)
+    if (isinstance(value, bool) and kind is not bool) or not good or (ok and not ok(value)):
+        raise ConfigError(f"{name} must be {what or kind.__name__}, got {value!r}")
+    return value
 
 
 def curve_from_config(cfg: dict) -> ArcLengthCurve:
@@ -77,8 +90,15 @@ def model_from_config(cfg: dict, seed: int) -> CoefficientModel:
     if kind == "gaussian-random":
         return GaussianRandom(seed=seed)
     if kind == "arc-localized":
-        return ArcLocalized(center_angle=cfg.get("center_angle", 0.0),
-                            fraction=cfg.get("fraction", 0.01), seed=seed)
+        return ArcLocalized(
+            center_angle=config_value("center_angle", cfg.get("center_angle", 0.0), float),
+            fraction=config_value("fraction", cfg.get("fraction", 0.01), float,
+                                  lambda x: 0.0 < x <= 1.0, "a number in (0, 1]"),
+            seed=seed)
     if kind == "single-pair":
-        return SinglePair(mu=tuple(cfg["mu"]), phase=cfg.get("phase", 0.0))
+        mu = cfg.get("mu")
+        if not (isinstance(mu, list) and len(mu) == 2):
+            raise ConfigError(f"single-pair mu must be a lattice point [x, y], got {mu!r}")
+        return SinglePair(mu=tuple(config_value("mu", v, int) for v in mu),
+                          phase=config_value("phase", cfg.get("phase", 0.0), float))
     raise ConfigError(f"unknown coefficient model {kind!r}")

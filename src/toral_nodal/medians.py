@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import AntipodalMedianError, InvariantViolation
-from .lattice import LatticeCircle, Point, chord_arc_max
+from .lattice import LatticeCircle, Point
 
 Vec = tuple[float, float]
 
@@ -42,16 +42,6 @@ class Median:
     @property
     def delta(self) -> float:
         return 0.5 * math.sqrt(self.four_delta_sq)
-
-    def mu_plus(self) -> Point:
-        """The parent on the positive side of the perpendicular at z."""
-        if self.z2 == (0, 0):
-            raise AntipodalMedianError("mu_plus undefined for the zero median")
-        a, b = self.z2
-        p1, p2 = self.parents
-        # (2*mu - z2) . z2_perp > 0 selects mu_plus; zero only when mu = z.
-        t1 = (2 * p1[0] - a) * (-b) + (2 * p1[1] - b) * a
-        return p1 if t1 >= 0 else p2
 
 
 def median_map(mu: Point, nu: Point, n: int) -> Median:
@@ -133,26 +123,6 @@ def build_median_set(circle: LatticeCircle) -> MedianSet:
                     )
                 by_z2[med.z2] = med
     return MedianSet(circle=circle, medians=tuple(medians), by_z2=by_z2)
-
-
-def stability_count(mset: MedianSet, z: Vec, v: Vec) -> tuple[int, float]:
-    """Count medians w with |mu+(w) - v| < sqrt(lambda) and |w - z| <
-    lambda^(1/3) by direct scan, and count / arc-crowding max (the proven
-    statement is count = O(B))."""
-    lam = mset.radius
-    r_mu = math.sqrt(lam)
-    r_z = lam ** (1.0 / 3.0)
-    count = 0
-    for med in mset.medians:
-        if med.z2 == (0, 0):
-            continue
-        mp = med.mu_plus()
-        if math.hypot(mp[0] - v[0], mp[1] - v[1]) >= r_mu:
-            continue
-        if math.hypot(0.5 * med.z2[0] - z[0], 0.5 * med.z2[1] - z[1]) < r_z:
-            count += 1
-    b = chord_arc_max(mset.circle)
-    return count, count / b
 
 
 def _is_starred(med: Median) -> bool:

@@ -29,7 +29,6 @@ class SignChangeReport:
     brackets: tuple[tuple[float, float], ...]
     grid_levels: int
     stable: bool
-    counts_per_level: tuple[int, ...] = ()
     intervals: int = 0  # interval count of the finest grid walked
 
 
@@ -91,7 +90,6 @@ def certified_sign_changes(
         brackets=tuple(zip(lo.tolist(), hi.tolist())),
         grid_levels=len(counts),
         stable=stable,
-        counts_per_level=tuple(counts),
         intervals=n,
     )
 

@@ -49,20 +49,13 @@ _SIGN_NOISE = 1e-12  # |f| below this times sum |a| carries no sign
 _POLISH_ROUNDS = 40  # bisection halvings of a sup bracket
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    error_estimate: float
-    nodes_used: int
-
-
 def osc_integral(
     curve: ArcLengthCurve,
     xi: tuple[float, float],
     k: float,
     tol: float = 1e-9,
     node_cap: int = NODE_CAP_OSC,
-) -> QuadratureResult:
+) -> complex:
     """I(k) = int_0^L e^{i k phi_xi(t)} dt along the curve.
 
     Integrated in the curve parameter u, as int e^{i k <p(u), xi/|xi|>}
@@ -73,7 +66,7 @@ def osc_integral(
     if nx == 0.0:
         raise ValueError("xi must be nonzero")
     e = np.array([xi[0] / nx, xi[1] / nx])
-    est, err, total_nodes = None, math.inf, 0
+    est, err = None, math.inf
     for n in dyadic_levels(_GL_ORDER * first_level(0.5 * abs(k) * curve.length, 1),
                            node_cap):
         p, w = _gl_arc(curve.spec, n // _GL_ORDER)
@@ -81,14 +74,13 @@ def osc_integral(
         if est is not None:
             err = abs(cur - est)
         est = cur
-        total_nodes += n
         if err < tol:
             break
     else:
         raise QuadratureError(
             f"no convergence below {tol} within {node_cap} nodes",
-            best=QuadratureResult(value=est, error_estimate=err, nodes_used=total_nodes))
-    return QuadratureResult(value=est, error_estimate=err, nodes_used=total_nodes)
+            best=est)
+    return est
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ def vdc_audit(
         raise ValueError("audit needs k >= 1")
     rows = []
     for k in k_grid:
-        val = abs(osc_integral(curve, xi, k, tol=tol).value)
+        val = abs(osc_integral(curve, xi, k, tol=tol))
         rows.append((float(k), math.sqrt(k) * val))
     fit_rows = [r for r in rows if r[0] * curve.length >= VDC_ONSET]
     if len(fit_rows) < 4:
@@ -149,7 +141,6 @@ class NormReport:
     arc_max: int
     nodes: int  # Gauss-Legendre nodes evaluated, over all levels
     levels: int
-    error_estimate: float  # largest relative move of l1, l2^2, l4^4 in the last level
 
     @property
     def l2_sq(self) -> float:
@@ -303,7 +294,7 @@ def restriction_norms(
     split = np.zeros(len(tb) - 1, dtype=bool)
     noise = _SIGN_NOISE * rw.F.sum_abs
     n0 = _GL_ORDER * int(_panel_counts(lam, tb).sum())
-    prev, nodes, levels, err = None, 0, 0, math.inf
+    prev, nodes, levels = None, 0, 0
     for n in dyadic_levels(n0, NODE_CAP_NORM):
         while True:
             panels = (n // n0) * _panel_counts(lam, tb)
@@ -322,8 +313,7 @@ def restriction_norms(
                         np.sum(wf2), np.sum(wf2 * f * f)])
         levels += 1
         if prev is not None:
-            err = float(np.max(np.abs(cur - prev) / cur))
-            if err <= tol:
+            if np.max(np.abs(cur - prev) / cur) <= tol:
                 break
         prev = cur
     else:
@@ -344,7 +334,7 @@ def restriction_norms(
     return NormReport(
         l1=l1, l2=math.sqrt(l2sq), l4=l4q**0.25, lsup=lsup,
         length=L, lam=lam, arc_max=chord_arc_max(rw.F.circle), nodes=nodes,
-        levels=levels, error_estimate=err)
+        levels=levels)
 
 
 def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
@@ -362,7 +352,7 @@ def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
         if nd in cache:
             val = cache[nd].conjugate()
         else:
-            val = osc_integral(rw.curve, d, math.hypot(*d), tol=tol).value
+            val = osc_integral(rw.curve, d, math.hypot(*d), tol=tol)
         cache[d] = val
         return val
 
@@ -375,29 +365,6 @@ def fourier_l2_sq(rw: RestrictedWave, tol: float = 1e-9) -> float:
         raise InvariantViolation(
             f"frequency-side L2 mass has imaginary residue {total.imag:.3e}")
     return float(total.real)
-
-
-def l2_ratio(rw: RestrictedWave, report: NormReport | None = None) -> float:
-    """Restriction L2 mass per unit length, normalized by sum |a|^2; it lies
-    in (0, #E], a cap that follows from the sup bound and is asserted."""
-    if report is None:
-        report = restriction_norms(rw)
-    rho = report.l2_sq / (report.length * rw.F.sum_sq)
-    if rho > rw.F.circle.count + 1e-9:
-        raise InvariantViolation(f"L2 ratio {rho} exceeds #E cap")
-    return rho
-
-
-def l4_vs_B(rw: RestrictedWave, report: NormReport | None = None) -> tuple[float, int, float]:
-    """(fourth-power restriction mass, arc-crowding max, their ratio)."""
-    if report is None:
-        report = restriction_norms(rw)
-    b = report.arc_max
-    l44 = report.l4_4
-    ratio = l44 / b
-    if not math.isfinite(ratio):
-        raise InvariantViolation("l4^4 / arc max is not finite")
-    return l44, b, ratio
 
 
 # -- Schur blocks over dyadic shells -------------------------------------------

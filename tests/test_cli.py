@@ -81,19 +81,18 @@ def test_sweep_summary_and_svg(tmp_path):
     assert svg.startswith("<svg") and "circle" in svg
 
 
-def test_nodal_with_witness_rows(tmp_path):
-    out = tmp_path / "n.jsonl"
+def test_sweep_and_exceptions_with_witness_rows(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "n": [25], "seeds": {"master": 5, "count": 2},
-        "witness_demo": True, "k_max": 3,
-    }))
-    assert main(["nodal", "--config", str(cfg), "--out", str(out)]) == 0
-    _, rows = read_jsonl(out)
-    kinds = [r["kind"] for r in rows]
+    cfg.write_text(json.dumps({"n": [25], "seeds": {"master": 5, "count": 2}, "k_max": 3}))
+    kinds = []
+    for command in ("sweep", "exceptions"):
+        out = tmp_path / f"{command}.jsonl"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_jsonl(out)
+        kinds += [r["kind"] for r in rows]
+        assert all(r["zeros"] == 0 for r in rows if r["kind"] == "witness")
     assert kinds.count("nodal") == 2
     assert kinds.count("witness") == 3
-    assert all(r["zeros"] == 0 for r in rows if r["kind"] == "witness")
 
 
 def test_schur_rows(tmp_path):
@@ -120,12 +119,43 @@ def test_exceptions_rows(tmp_path):
 
 
 def test_exit_code_config_error(tmp_path):
-    assert main(["nodal", "--n", "7", "--out", str(tmp_path / "x.jsonl")]) == 3
-    assert main(["nodal", "--out", str(tmp_path / "y.jsonl")]) == 3
+    assert main(["sweep", "--n", "7", "--out", str(tmp_path / "x.jsonl")]) == 3
+    assert main(["sweep", "--out", str(tmp_path / "y.jsonl")]) == 3
+
+
+@pytest.mark.parametrize("command,config", [
+    ("schur", {"n": [1105], "epsilon": 0.7}),
+    ("exceptions", {"k_max": 0}),
+    ("sweep", {"n": [25], "model": {"kind": "single-pair", "mu": [1, 1]}}),
+    ("sweep", {"n": [25], "jobs": "x"}),
+    ("sweep", {"n": [25], "seeds": 5}),
+    ("sweep", {"n": [25], "seeds": {"count": "many"}}),
+    ("lattice", {"n": [25], "cc_max_subset": "4"})])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, config):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.jsonl"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
-    ["nodal", "--n", "0"], ["nodal", "--n=-5"], ["schur", "--n", "0"],
+    ["bogus"], ["sweep", "--seeds", "abc"], ["nodal", "--n", "1105"], []])
+def test_usage_error_is_config_error(capsys, argv):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--seeds" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["schur", "--n=-5"], ["sweep", "--n=-5"], ["schur", "--n", "0"],
     ["sweep", "--n", "0"], ["lattice", "--n=-3,5"], ["lattice", "--n", "abc"]])
 def test_bad_n_is_config_error(tmp_path, capsys, argv):
     out = tmp_path / "o.jsonl"
@@ -161,10 +191,10 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
 
 
 def test_unknown_config_key_rejected(tmp_path):
-    for key in ("bogus", "sigma"):
+    for key in ("bogus", "sigma", "witness_demo"):
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({"n": [25], key: 1}))
-        assert main(["nodal", "--config", str(cfg),
+        assert main(["sweep", "--config", str(cfg),
                      "--out", str(tmp_path / "o.jsonl")]) == 3
 
 
@@ -185,7 +215,7 @@ def test_explicit_curve_config(tmp_path):
         "curve": {"kind": "ellipse-arc", "center": [2.0, 2.0], "a": 2.0,
                   "b": 1.0, "angles": [0.2, 0.9]},
     }))
-    assert main(["nodal", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     _, rows = read_jsonl(out)
     assert rows[0]["zeros"] > 0
 
@@ -195,7 +225,7 @@ def test_bad_curve_config_is_config_error(tmp_path):
     cfg.write_text(json.dumps({
         "n": [25], "curve": {"kind": "circular-arc", "center": [0, 0]},
     }))
-    assert main(["nodal", "--config", str(cfg),
+    assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path / "o.jsonl")]) == 3
 
 

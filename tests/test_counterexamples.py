@@ -14,11 +14,8 @@ from toral_nodal.counterexamples import (Approximant,
                                          legendre_recurrence_exact,
                                          legendre_zeros,
                                          parallel_exception_search,
-                                         rational_geodesic_eigenfunction,
-                                         witness_eigenfunction_json)
+                                         rational_geodesic_eigenfunction)
 from toral_nodal.errors import InvariantViolation
-from toral_nodal.lattice import enumerate_circle
-from toral_nodal.wavefield import eigenfunction_from_json
 
 SQRT2_CONVERGENTS = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70),
                      (239, 169), (577, 408)]
@@ -116,15 +113,6 @@ def test_witness_center_value_is_one():
     # t = 0 sits at v0; the restricted wave equals cos(0) = 1 exactly
     w = irrational_geodesic_witness(math.sqrt(2), (0.3, 0.4), 3)
     assert w.min_on_segment <= 1.0
-
-
-def test_witness_json_export():
-    data = witness_eigenfunction_json(math.sqrt(2), (0.3, 0.4), 4)
-    assert data["n"] == 17**2 + 12**2
-    circle = enumerate_circle(data["n"])
-    F = eigenfunction_from_json({"n": data["n"], "coeffs": data["coeffs"]}, circle)
-    assert abs(F.sum_sq - 0.5) < 1e-12
-    assert data["segment"]["direction"][1] == pytest.approx(-math.sqrt(2))
 
 
 # -- Legendre polynomials ----------------------------------------------------------

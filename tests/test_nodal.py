@@ -34,8 +34,14 @@ def test_count_matches_analytic_oracle(n, mu, shift, circ):
 
 def test_counts_monotone_across_levels(circ):
     F = make_eigenfunction(enumerate_circle(1105), UniformRandom(seed=5))
-    rep = count_sign_changes(restrict(F, circ))
-    levels = rep.counts_per_level
+    rw = restrict(F, circ)
+    rep = count_sign_changes(rw)
+    sizes = [rep.intervals >> k for k in reversed(range(rep.grid_levels))]
+    levels = []
+    for n in sizes:
+        f = rw.grid_values(n)[1]
+        levels.append(int(np.sum(f[:-1] * f[1:] < 0.0)))
+    assert len(levels) >= 3 and levels[-1] == rep.count
     assert all(b >= a for a, b in zip(levels, levels[1:]))
     assert rep.stable
 

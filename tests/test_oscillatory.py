@@ -14,10 +14,9 @@ from toral_nodal.lattice import enumerate_circle
 from toral_nodal.medians import build_median_set, dyadic_decompose
 from toral_nodal.nodal import count_sign_changes
 from toral_nodal.oscillatory import (_coords, _window_pairs, bilinear_form_bound,
-                                     fourier_l2_sq, l2_ratio, l4_vs_B,
-                                     osc_integral, restriction_norms,
+                                     fourier_l2_sq, osc_integral, restriction_norms,
                                      schur_family, schur_norms, vdc_audit)
-from toral_nodal.wavefield import (ArcLocalized, SinglePair, UniformRandom,
+from toral_nodal.wavefield import (SinglePair, UniformRandom,
                                    make_eigenfunction, restrict)
 
 # Bessel J0(10), frozen from the alternating power series
@@ -36,7 +35,7 @@ def j0_series(x: float) -> float:
 
 def test_zero_frequency_gives_length(circ):
     res = osc_integral(circ, (1.0, 0.0), 0.0)
-    assert res.value == pytest.approx(circ.length, abs=1e-12)
+    assert res == pytest.approx(circ.length, abs=1e-12)
 
 
 def gl_reference(curve, xi, k: float, panels: int = 8) -> complex:
@@ -62,16 +61,15 @@ def test_full_period_bessel(circ):
     assert j0_series(10.0) == pytest.approx(J0_AT_10, abs=1e-13)
     ref = gl_reference(circ, XI, 10.0)
     res = osc_integral(circ, XI, 10.0, tol=1e-10)
-    assert abs(res.value - ref) < 1e-9
-    assert res.error_estimate < 1e-10
+    assert abs(res - ref) < 1e-9
 
 
 def test_quadrature_node_cap(circ):
     with pytest.raises(QuadratureError) as err:
         osc_integral(circ, XI, 10.0, tol=1e-30, node_cap=1 << 10)
     best = err.value.best
-    assert best is not None and best.nodes_used < 2 * (1 << 10)
-    assert abs(best.value - gl_reference(circ, XI, 10.0)) < 1e-6
+    assert best is not None
+    assert abs(best - gl_reference(circ, XI, 10.0)) < 1e-6
 
 
 def test_vdc_audit_stationary_direction(circ):
@@ -81,7 +79,7 @@ def test_vdc_audit_stationary_direction(circ):
     audit = vdc_audit(circ, tuple(nrm))
     assert -0.05 <= audit.slope <= 0.05
     assert audit.rows[0][0] == 1.0
-    plain = abs(osc_integral(circ, tuple(nrm), 1.0).value)
+    plain = abs(osc_integral(circ, tuple(nrm), 1.0))
     assert audit.rows[0][1] == pytest.approx(plain, rel=1e-9)
 
 
@@ -160,31 +158,6 @@ def test_fourier_side_l2(circle25, circ):
     assert side == pytest.approx(rep.l2_sq, rel=1e-6)
 
 
-def test_l2_ratio_single_pair(circle25, circ):
-    F = make_eigenfunction(circle25, SinglePair(mu=(3, 4)))
-    rw = restrict(F, circ)
-    rep = restriction_norms(rw)
-    rho = l2_ratio(rw, rep)
-    assert 0.0 < rho <= circle25.count + 1e-9
-    assert rho == pytest.approx(rep.l2_sq / rep.length, rel=1e-12)
-
-
-def test_l2_ratio_concentrated(circle1105, circ):
-    ang = circle1105.angles
-    center = min((b - a, 0.5 * (a + b)) for a, b in zip(ang, ang[1:]))[1]
-    F = make_eigenfunction(circle1105, ArcLocalized(center_angle=center,
-                                                    seed=2, fraction=0.05))
-    rho = l2_ratio(restrict(F, circ))
-    assert rho > 0.0
-
-
-def test_l4_ratio(circle25, circ):
-    F = make_eigenfunction(circle25, UniformRandom(seed=6))
-    rw = restrict(F, circ)
-    l44, b, ratio = l4_vs_B(rw)
-    assert b == 2 and ratio == pytest.approx(l44 / 2)
-
-
 NORM_CASES = ([(fx, 27625, seed) for fx in ("circ", "ell", "cub") for seed in (0, 1, 2)]
               + [("circ", 160225, seed) for seed in (0, 1)])
 
@@ -198,7 +171,7 @@ def test_norms_match_zero_split_reference(fixture, n, seed, request):
     assert rep.l1 == pytest.approx(l1, rel=1e-10)
     assert rep.l2 == pytest.approx(l2, rel=1e-10)
     assert rep.l4 == pytest.approx(l4, rel=1e-10)
-    assert rep.levels >= 2 and rep.error_estimate <= 1e-9
+    assert rep.levels >= 2
 
 
 @pytest.mark.parametrize("shift", np.linspace(0.0, math.pi, 7))

@@ -4,18 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from toral_nodal import wavefield
 from toral_nodal.errors import InvariantViolation
 from toral_nodal.lattice import enumerate_circle
 from toral_nodal.wavefield import (ArcLocalized, Eigenfunction, GaussianRandom,
-                                   SinglePair, UniformRandom,
-                                   eigenfunction_from_json,
-                                   eigenfunction_to_json, evaluate,
-                                   make_eigenfunction, restrict, smooth_cutoff,
-                                   smooth_cutoff_d1)
+                                   SinglePair, UniformRandom, evaluate,
+                                   make_eigenfunction, restrict)
 
 
 def reference_sum(F, x):
@@ -24,29 +19,6 @@ def reference_sum(F, x):
     for mu, a in sorted(F.coeffs.items()):
         total += a * cmath.exp(1j * (mu[0] * x[0] + mu[1] * x[1]))
     return total.real
-
-
-# -- pinned cutoff ----------------------------------------------------------
-
-def test_cutoff_plateau_and_support():
-    x = np.array([-3.0, -2.0, -1.0, -0.3, 0.0, 1.0, 1.5, 2.0, 5.0])
-    th = smooth_cutoff(x)
-    assert np.all(th[np.abs(x) <= 1.0] == 1.0)
-    assert np.all(th[np.abs(x) >= 2.0] == 0.0)
-    assert np.all((0.0 <= th) & (th <= 1.0))
-
-
-@given(st.floats(min_value=-4.0, max_value=4.0))
-def test_cutoff_even_and_smooth(x):
-    assert smooth_cutoff(x) == smooth_cutoff(-x)
-    h = 1e-6
-    fd = (smooth_cutoff(x + h) - smooth_cutoff(x - h)) / (2 * h)
-    assert abs(fd - smooth_cutoff_d1(np.asarray(x))) < 1e-4
-
-
-def test_cutoff_ramp_value():
-    # pinned formula at the ramp midpoint
-    assert smooth_cutoff(1.5) == pytest.approx(math.exp(1 - 1 / (1 - 0.25)))
 
 
 # -- coefficient models -------------------------------------------------------
@@ -193,25 +165,6 @@ def test_imaginary_bound_enforced(circle25, monkeypatch):
     monkeypatch.setattr(wavefield, "IMAG_TOL", 0.5 * F.imag_bound)
     with pytest.raises(InvariantViolation, match="imaginary"):
         evaluate(F, x)
-
-
-def test_arc_cover_count(circle25, circle1105):
-    from toral_nodal.wavefield import arc_cover_count
-    # wide arcs: one or two pieces; tiny arcs: one per distinct direction
-    assert arc_cover_count(circle25, fraction=0.5) == 1
-    half_dirs = {p for p in circle25.points if p[1] > 0 or (p[1] == 0 and p[0] > 0)}
-    assert arc_cover_count(circle25, fraction=1e-9) == len(half_dirs)
-    c = arc_cover_count(circle1105, fraction=0.01)
-    assert 1 <= c <= 16
-
-
-def test_json_round_trip(circle25):
-    F = make_eigenfunction(circle25, UniformRandom(seed=9))
-    data = eigenfunction_to_json(F)
-    G = eigenfunction_from_json(data, circle25)
-    assert G.coeffs == F.coeffs
-    with pytest.raises(ValueError):
-        eigenfunction_from_json(data, enumerate_circle(2))
 
 
 # -- restriction ----------------------------------------------------------------
