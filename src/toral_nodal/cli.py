@@ -420,8 +420,9 @@ def exceptions_rows(cfg: ExperimentConfig) -> list[dict]:
         })
     convergents = continued_fraction_approximants(cfg.beta, cfg.k_max)
     if len(convergents) < cfg.k_max:
-        raise ConfigError(f"beta {cfg.beta!r} has only {len(convergents)} convergents; "
-                          f"k_max {cfg.k_max} witnesses need an irrational beta")
+        raise ConfigError(f"beta {cfg.beta!r} has only {len(convergents)} convergents "
+                          "before its expansion ends or 1/q^2 reaches float precision "
+                          f"ulp(beta); k_max {cfg.k_max} is too large")
     for k, approx in enumerate(convergents, start=1):
         rows.append({
             "kind": "convergent", "beta": cfg.beta, "k": k, "p": approx.p,

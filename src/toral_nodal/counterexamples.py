@@ -115,11 +115,15 @@ class Approximant:
 def continued_fraction_approximants(beta: float, count: int) -> list[Approximant]:
     """The first ``count`` continued-fraction convergents p_k/q_k of beta.
 
-    Every convergent satisfies |beta - p/q| < 1/q^2 (checked).  Irrationality
-    is the caller's contract: if the expansion terminates (beta within 1e-15
-    of a low-denominator rational) a warning is issued and the list is cut
-    short.  Denominators increase strictly from the second convergent on
-    (the first step can repeat q=1, e.g. for the golden ratio).
+    Every convergent satisfies |beta - p/q| < 1/q^2 (checked by
+    :class:`Approximant`).  The list stops before the first q with
+    1/q^2 <= ulp(beta): past that precision limit p/q equals beta in
+    floats, and the float expansion no longer gives beta's convergents.
+    Irrationality is the caller's contract: if the expansion terminates
+    (beta within 1e-15 of a low-denominator rational) a warning is issued
+    and the list is cut short.  Denominators increase strictly from the
+    second convergent on (the first step can repeat q=1, e.g. for the
+    golden ratio).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -131,6 +135,8 @@ def continued_fraction_approximants(beta: float, count: int) -> list[Approximant
         a = math.floor(x)
         h_prev, h = a * h_prev + h, h_prev
         k_prev, k = a * k_prev + k, k_prev
+        if 1.0 / k_prev**2 <= math.ulp(beta):
+            break
         out.append(Approximant(p=h_prev, q=k_prev, error=abs(beta - h_prev / k_prev)))
         frac = x - a
         if frac < 1e-15:

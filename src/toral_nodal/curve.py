@@ -1,13 +1,13 @@
-"""Arc-length curves with pinched positive curvature, and their direction
-phase functions.
+"""Curves with pinched positive curvature, in their own parameter u and by
+arc length t, and their direction phase functions.
 
 Construction rejects curvature sign changes, zero curvature, and total
-curvature >= pi/2 (the regime every downstream bound assumes).  Circular
-arcs are handled in closed form; other kinds invert the cumulative arc
-length by Newton iteration on a Gauss-Legendre table, so the returned
-parametrization is unit-speed to machine precision.  The point, unit
-tangent and normal at arc length t come from one ``frame(t)``, which
-inverts t once; ``gamma(t)`` is the point-only path.
+curvature >= pi/2 (the regime every downstream bound assumes).  Nodal rows
+work in u on [angle0, angle1], with max |p'| and max |p''| turning rates in
+arc length into rates in u.  Arc length t on [0, L] is reached by
+``u_of_t``: closed form for circular arcs, else Newton iteration on a
+Gauss-Legendre arc-length table, audited at construction.  ``frame(t)``
+gives the point, unit tangent and normal at t from one inversion.
 """
 
 from __future__ import annotations
@@ -122,23 +122,20 @@ class Frame:
     normal: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArcLengthCurve:
-    """Unit-speed parametrization of a curvature-pinched arc on [0, L].
-
-    Immutable after construction; the grid caches are append-only and safe
-    for concurrent readers.
+    """A curvature-pinched arc: its spec's parameter u on [angle0, angle1],
+    max |p'(u)| and max |p''(u)| there, and the unit-speed parametrization
+    on [0, L] by arc length t.  Immutable; nothing is cached.
     """
 
     spec: CurveSpec
     length: float
-    kmax: float
-    _u0: float
-    _u1: float
+    speed_max: float
+    accel_max: float
     _orient: float  # sign of the signed curvature of the parametrization
     _u_nodes: np.ndarray = field(repr=False)
     _s_nodes: np.ndarray = field(repr=False)
-    _grid_cache: dict = field(default_factory=dict, repr=False)
 
     # -- parameter <-> arc length ------------------------------------------
 
@@ -160,17 +157,12 @@ class ArcLengthCurve:
     def u_of_t(self, t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, self.length)
         if isinstance(self.spec, CircularArc):
-            return self._u0 + t / self.spec.radius
+            return self.spec.angle0 + t / self.spec.radius
         u = np.interp(t, self._s_nodes, self._u_nodes)
         for _ in range(5):
             u = u - (self._arclen(u) - t) / self._speed(u)
-            u = np.clip(u, self._u0, self._u1)
+            u = np.clip(u, self.spec.angle0, self.spec.angle1)
         return u
-
-    # -- geometry at arc length t ------------------------------------------
-
-    def gamma(self, t):
-        return self.spec.point(self.u_of_t(t))
 
     def frame(self, t) -> Frame:
         """The point, unit tangent and normal at arc length t, from one
@@ -184,31 +176,10 @@ class ArcLengthCurve:
             normal=self._orient * np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1),
         )
 
-    # -- cached uniform grids ----------------------------------------------
-
     def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, gamma) on the uniform n+1-node grid over [0, L].
-
-        Doubled grids are filled incrementally (only the new odd nodes are
-        computed), which keeps refinement loops linear in the finest grid.
-        """
-        hit = self._grid_cache.get(n)
-        if hit is not None:
-            return hit
-        prev = self._grid_cache.get(n // 2) if n % 2 == 0 else None
-        if prev is None:
-            t = np.linspace(0.0, self.length, n + 1)
-            hit = (t, self.gamma(t))
-        else:
-            t_prev, g_prev = prev
-            t_odd = 0.5 * (t_prev[:-1] + t_prev[1:])
-            t = np.empty(n + 1)
-            t[::2], t[1::2] = t_prev, t_odd
-            g = np.empty((n + 1, 2))
-            g[::2], g[1::2] = g_prev, self.gamma(t_odd)
-            hit = (t, g)
-        self._grid_cache[n] = hit
-        return hit
+        """(u, p(u)) on the uniform n+1-node grid over [angle0, angle1]."""
+        u = np.linspace(self.spec.angle0, self.spec.angle1, n + 1)
+        return u, self.spec.point(u)
 
 
 def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
@@ -225,7 +196,7 @@ def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
     d2 = spec.d2(uu)
     v = np.linalg.norm(d1, axis=-1)
     if np.min(v) <= 0.0:
-        raise ValueError("spec has a singular point (|gamma'| = 0)")
+        raise ValueError("spec has a singular point (|p'| = 0)")
     ks = _cross(d1, d2) / v**3
     if np.min(np.abs(ks)) <= 0.0 or np.min(ks) * np.max(ks) < 0.0:
         raise ValueError("curvature must be nonzero of constant sign")
@@ -251,27 +222,27 @@ def make_arclength(spec: CurveSpec) -> ArcLengthCurve:
 
     if isinstance(spec, CircularArc):  # closed form, no table error
         length = spec.radius * (u1 - u0)
-        kmax = 1.0 / spec.radius
+        speed_max = accel_max = spec.radius
         if u1 - u0 >= 0.5 * math.pi:
             raise ValueError("total curvature >= pi/2; supply a shorter arc")
     else:
         length = float(s_nodes[-1])
-        kmax = float(np.max(np.abs(ks)))
+        speed_max = float(np.max(v))
+        accel_max = float(np.max(np.linalg.norm(d2, axis=-1)))
     curve = ArcLengthCurve(
         spec=spec,
         length=length,
-        kmax=kmax,
-        _u0=u0,
-        _u1=u1,
+        speed_max=speed_max,
+        accel_max=accel_max,
         _orient=orient,
         _u_nodes=u_nodes,
         _s_nodes=s_nodes,
     )
-    # unit-speed audit (construction-time, dense)
-    taud = curve.frame(np.linspace(0.0, curve.length, 1025)).tangent
-    err = np.max(np.abs(np.linalg.norm(taud, axis=-1) - 1.0))
-    if err > 1e-9:
-        raise InvariantViolation(f"unit-speed audit failed: {err:.3e}")
+    # arc-length inversion audit (construction-time, dense): s(u(t)) = t
+    t = np.linspace(0.0, length, 1025)
+    err = float(np.max(np.abs(curve._arclen(curve.u_of_t(t)) - t)))
+    if err > 1e-9 * length:
+        raise InvariantViolation(f"arc-length inversion audit failed: {err:.3e}")
     return curve
 
 
@@ -282,7 +253,8 @@ class PhaseEval:
 
 
 def phase(curve: ArcLengthCurve, xi: tuple[float, float], t) -> PhaseEval:
-    """The direction phase <xi/|xi|, gamma(t)> and its t-derivative."""
+    """The direction phase <xi/|xi|, point at arc length t> and its
+    t-derivative."""
     nx = math.hypot(xi[0], xi[1])
     if nx == 0.0:
         raise ValueError("xi must be nonzero")

@@ -55,7 +55,7 @@ def config_value(name: str, value, kind: type, ok=None, what: str = ""):
 def curve_from_config(cfg: dict) -> ArcLengthCurve:
     """A curve from its JSON form: either {"fixture": name} or an explicit
     kind with numeric parameters.  Named fixtures are shared instances
-    (curves are immutable and their grid caches append-only)."""
+    (curves are immutable)."""
     if "fixture" in cfg:
         name = cfg["fixture"]
         if name not in FIXTURES:

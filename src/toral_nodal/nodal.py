@@ -1,12 +1,13 @@
 """Certified sign-change counting along the curve, and the assembled
 per-run record of all theorem-shaped ratios.
 
-Counts are certified lower bounds: every reported bracket [t-, t+] has
-f(t-) f(t+) < 0, so it contains a zero.  Tangential zeros are invisible to
-this counter by design.  The grid walks the shared dyadic cascade until
-the count is unchanged through two consecutive doublings; refining never
-loses a bracket (a sign-change cell keeps a sign change after splitting),
-so counts are monotone across levels.
+Counts run in the curve's own parameter u: zeros do not depend on the
+parametrization.  They are certified lower bounds: every reported bracket
+[u-, u+] has f(u-) f(u+) < 0, so it contains a zero.  Tangential zeros
+are invisible to this counter by design.  The grid walks the shared
+dyadic cascade until the count is unchanged through two consecutive
+doublings; refining never loses a bracket (a sign-change cell keeps a sign
+change after splitting), so counts are monotone across levels.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ def certified_sign_changes(
 ) -> SignChangeReport:
     """Count strict sign changes of fn on [a, b].
 
-    rate is the fastest oscillation rate of fn (radians per unit t); the
-    initial spacing is min((b-a)/64, 1/(8*rate)).  grid_fn, when given,
-    supplies cached (t, f) arrays for the full-interval doubling stage.
+    rate is the fastest oscillation rate of fn (radians per unit of its
+    argument); the initial spacing is min((b-a)/64, 1/(8*rate)).  grid_fn,
+    when given, supplies cached (x, f) arrays for the full-interval
+    doubling stage.
     """
     if tol is None:
         tol = 1e-12 * (b - a)
@@ -71,19 +73,21 @@ def certified_sign_changes(
     lo = t[cells].copy()
     hi = t[cells + 1].copy()
     flo = f[cells].copy()
-    # Ratio cycling keeps the strict-sign invariant f(lo) f(hi) < 0 even if a
-    # split point lands exactly on a zero: such entries stall one round and
-    # get a different split next time.
+    # Only brackets wider than tol are split, so none is narrowed into the
+    # rounding noise of fn.  Ratio cycling keeps the strict-sign invariant
+    # f(lo) f(hi) < 0 even if a split point lands exactly on a zero: such
+    # entries stall one round and get a different split next time.
     ratios = (0.5, 0.381966011, 0.618033989)
     rounds = 0
-    while len(lo) and np.max(hi - lo) > tol and rounds < 200:
-        mid = lo + ratios[rounds % 3] * (hi - lo)
+    while (act := np.flatnonzero(hi - lo > tol)).size and rounds < 200:
+        x0, x1, f0 = lo[act], hi[act], flo[act]
+        mid = x0 + ratios[rounds % 3] * (x1 - x0)
         fm = np.asarray(fn(mid), dtype=float)
-        crosses = flo * fm < 0.0
-        hit_zero = fm == 0.0
-        hi = np.where(hit_zero, hi, np.where(crosses, mid, hi))
-        lo = np.where(hit_zero, lo, np.where(crosses, lo, mid))
-        flo = np.where(hit_zero | crosses, flo, fm)
+        left = f0 * fm < 0.0  # the zero is in [x0, mid]
+        right = (fm != 0.0) & ~left
+        hi[act] = np.where(left, mid, x1)
+        lo[act] = np.where(right, mid, x0)
+        flo[act] = np.where(right, fm, f0)
         rounds += 1
     return SignChangeReport(
         count=len(cells),
@@ -95,10 +99,13 @@ def certified_sign_changes(
 
 
 def count_sign_changes(rw: RestrictedWave, tol: float | None = None) -> SignChangeReport:
-    """Certified sign changes of the restricted eigenfunction on [0, L]."""
+    """Certified sign changes of the restricted eigenfunction in u on
+    [angle0, angle1], where its phase moves at most lambda max |p'| per
+    unit u; the brackets are in u."""
+    spec = rw.curve.spec
     return certified_sign_changes(
-        rw.value, 0.0, rw.curve.length, rate=rw.lam, tol=tol,
-        grid_fn=rw.grid_values)
+        rw.value_at_param, spec.angle0, spec.angle1,
+        rate=rw.lam * rw.curve.speed_max, tol=tol, grid_fn=rw.grid_values)
 
 
 # -- assembled per-run record ----------------------------------------------------

@@ -164,9 +164,10 @@ def _holder_audit(l1, l2sq, l4q, lsup, L):
         raise InvariantViolation("L2 <= L1^(1/3) L4^(2/3) interpolation violated")
 
 
-def _panel_counts(lam: float, tb: np.ndarray) -> np.ndarray:
-    """Panels per segment between arc-length breakpoints tb: lambda * h <= 2."""
-    return np.maximum(1, np.ceil(0.5 * lam * np.diff(tb))).astype(np.int64)
+def _panel_counts(rate: float, ub: np.ndarray) -> np.ndarray:
+    """Panels per segment between u-breakpoints ub: rate * h <= 2, where
+    rate = lambda max |p'| bounds the phase speed of f in u."""
+    return np.maximum(1, np.ceil(0.5 * rate * np.diff(ub))).astype(np.int64)
 
 
 @functools.cache
@@ -206,41 +207,44 @@ def _gl_nodes(rw: RestrictedWave, ub: np.ndarray, panels: np.ndarray):
     return w * speed, rw.value_at_param(u)
 
 
-def _split_mixed(rw, tb, mixed, split, intervals):
+def _split_mixed(rw, ub, mixed, split, intervals):
     """Cut every mixed segment at the brackets of a sign-change run on a
-    grid twice as fine as the count's; a segment already cut out of a
+    u-grid twice as fine as the count's; a segment already cut out of a
     mixed one may not be mixed again."""
     from . import nodal  # nodal imports this module
 
     if np.any(mixed & split):
         j = int(np.flatnonzero(mixed & split)[0])
         raise InvariantViolation(
-            f"f changes sign inside [{tb[j]}, {tb[j + 1]}] between certified zeros")
-    rate = intervals / (4.0 * rw.curve.length)
+            f"f changes sign inside [{ub[j]}, {ub[j + 1]}] between certified zeros")
+    spec = rw.curve.spec
+    rate = intervals / (4.0 * (spec.angle1 - spec.angle0))
     cuts = [0.5 * (lo + hi)
             for j in np.flatnonzero(mixed)
             for lo, hi in nodal.certified_sign_changes(
-                rw.value, tb[j], tb[j + 1], rate=rate).brackets]
-    new_tb = np.union1d(tb, cuts)
-    parent = np.searchsorted(tb, new_tb[:-1], side="right") - 1
-    return new_tb, (mixed | split)[parent]
+                rw.value_at_param, ub[j], ub[j + 1], rate=rate).brackets]
+    new_ub = np.union1d(ub, cuts)
+    parent = np.searchsorted(ub, new_ub[:-1], side="right") - 1
+    return new_ub, (mixed | split)[parent]
 
 
 def _sup(rw: RestrictedWave, intervals: int, node_max: float) -> float:
-    """sup |f|: the count's finest grid, each grid-local max within the
-    certified margin 1/2 (lambda^2 + lambda kappa_max) sum|a| h^2 of the
-    grid max polished by bisecting the sign of d/du |f| in u, and the
-    Gauss-Legendre nodes' max."""
-    t, f = rw.grid_values(intervals)
+    """sup |f|: the count's finest u-grid, each grid-local max within the
+    certified margin 1/2 (lambda^2 |p'|_max^2 + lambda |p''|_max) sum|a| h^2
+    of the grid max (|d^2 f/du^2| <= (lambda^2 |p'|^2 + lambda |p''|) sum|a|)
+    polished by bisecting the sign of d/du |f|, and the Gauss-Legendre
+    nodes' max."""
+    grid, f = rw.grid_values(intervals)
     af = np.abs(f)
     top = float(af.max())
-    h = rw.curve.length / intervals
-    lam = rw.lam
-    margin = 0.5 * (lam * lam + lam * rw.curve.kmax) * rw.F.sum_abs * h * h
+    curve, lam = rw.curve, rw.lam
+    h = (curve.spec.angle1 - curve.spec.angle0) / intervals
+    bound = lam * lam * curve.speed_max**2 + lam * curve.accel_max
+    margin = 0.5 * bound * rw.F.sum_abs * h * h
     pad = np.pad(af, 1, constant_values=-np.inf)
     cand = np.flatnonzero((af >= top - margin) & (af >= pad[:-2]) & (af >= pad[2:]))
     ends = np.concatenate([np.maximum(cand - 1, 0), np.minimum(cand + 1, intervals)])
-    u = rw.curve.u_of_t(t[ends])
+    u = grid[ends]
     sgn = np.sign(f[cand])
     slope = np.tile(sgn, 2) * rw.derivative_at_param(u)
     k = len(cand)
@@ -267,37 +271,36 @@ def restriction_norms(
     certified zeros.
 
     signs is ``nodal.count_sign_changes(rw)``, computed here when not
-    given.  The breakpoints 0, its bracket midpoints and L split the arc
-    into segments on which f keeps one sign; each segment gets
-    ceil(lambda * s / 2) equal panels in the curve parameter u (about two
-    radians of phase each, s its arc length) of 16-point Gauss-Legendre,
-    and int |f| = sum over segments of |int f|, with int f^2 and int f^4
-    from the same nodes.  The panel counts double on the dyadic cascade
-    until l1, l2^2 and l4^4 all move by less than tol relatively; the
-    breakpoints are mapped to u once, so no node needs arc-length
-    inversion.  A segment whose nodes disagree in sign beyond rounding
-    hides a zero pair inside one cell of the count's grid: it is cut again
-    at the zeros of a finer sign-change run, and InvariantViolation is
-    raised if its pieces are still mixed.  The sup is described in
-    :func:`_sup`.  With fourier_check=True, the L2 mass is re-derived from
-    the frequency side as sum a_mu conj(a_nu) I(mu - nu) and must agree to
-    1e-6 relative.
+    given.  The breakpoints angle0, its u-bracket midpoints and angle1
+    split the arc into segments on which f keeps one sign; each segment
+    gets ceil(lambda max|p'| du / 2) equal panels in the curve parameter u
+    (at most two radians of phase each, du its parameter width) of
+    16-point Gauss-Legendre, and int |f| = sum over segments of |int f|,
+    with int f^2 and int f^4 from the same nodes.  The panel counts double
+    on the dyadic cascade until l1, l2^2 and l4^4 all move by less than
+    tol relatively; no node needs arc-length inversion.  A segment whose
+    nodes disagree in sign beyond rounding hides a zero pair inside one
+    cell of the count's grid: it is cut again at the zeros of a finer
+    sign-change run, and InvariantViolation is raised if its pieces are
+    still mixed.  The sup is described in :func:`_sup`.  With
+    fourier_check=True, the L2 mass is re-derived from the frequency side
+    as sum a_mu conj(a_nu) I(mu - nu) and must agree to 1e-6 relative.
     """
     from . import nodal  # nodal imports this module
 
-    L = rw.curve.length
-    lam = rw.lam
+    curve, lam = rw.curve, rw.lam
+    rate = lam * curve.speed_max
     if signs is None:
         signs = nodal.count_sign_changes(rw)
-    tb = np.array([0.0, *(0.5 * (lo + hi) for lo, hi in signs.brackets), L])
-    ub = rw.curve.u_of_t(tb)
-    split = np.zeros(len(tb) - 1, dtype=bool)
+    ub = np.array([curve.spec.angle0, *(0.5 * (lo + hi) for lo, hi in signs.brackets),
+                   curve.spec.angle1])
+    split = np.zeros(len(ub) - 1, dtype=bool)
     noise = _SIGN_NOISE * rw.F.sum_abs
-    n0 = _GL_ORDER * int(_panel_counts(lam, tb).sum())
+    n0 = _GL_ORDER * int(_panel_counts(rate, ub).sum())
     prev, nodes, levels = None, 0, 0
     for n in dyadic_levels(n0, NODE_CAP_NORM):
         while True:
-            panels = (n // n0) * _panel_counts(lam, tb)
+            panels = (n // n0) * _panel_counts(rate, ub)
             w, f = _gl_nodes(rw, ub, panels)
             nodes += f.size
             starts = np.cumsum(panels) - panels
@@ -305,8 +308,7 @@ def restriction_norms(
                      & (np.minimum.reduceat(f.min(axis=1), starts) < -noise))
             if not mixed.any():
                 break
-            tb, split = _split_mixed(rw, tb, mixed, split, signs.intervals)
-            ub = rw.curve.u_of_t(tb)
+            ub, split = _split_mixed(rw, ub, mixed, split, signs.intervals)
             prev = None
         wf2 = w * f * f
         cur = np.array([np.sum(np.abs(np.add.reduceat(np.sum(w * f, axis=1), starts))),
@@ -322,6 +324,7 @@ def restriction_norms(
 
     l1, l2sq, l4q = (float(v) for v in cur)
     lsup = _sup(rw, signs.intervals, float(np.max(np.abs(f))))
+    L = curve.length
     _holder_audit(l1, l2sq, l4q, lsup, L)
 
     if fourier_check:

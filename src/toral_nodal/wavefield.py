@@ -1,4 +1,5 @@
-"""Real toral eigenfunctions and their restriction to a curve.
+"""Real toral eigenfunctions and their restriction to a curve, in the
+curve's own parameter u.
 
 The canonical normalization is sum |a_mu|^2 = 1, so the full-torus L2 norm
 (with respect to Lebesgue measure on [0, 2pi)^2) is 1/(2pi).  Coefficients
@@ -231,7 +232,8 @@ def evaluate(F: Eigenfunction, x) -> np.ndarray:
 
 @dataclass
 class RestrictedWave:
-    """f(t) = F(gamma(t)) with vectorized evaluation and per-grid caching."""
+    """f(u) = F(p(u)) in the curve's own parameter u, with vectorized
+    evaluation and per-grid caching."""
 
     F: Eigenfunction
     curve: ArcLengthCurve
@@ -241,12 +243,8 @@ class RestrictedWave:
     def lam(self) -> float:
         return self.F.circle.radius
 
-    def value(self, t) -> np.ndarray:
-        g = self.curve.gamma(np.asarray(t, dtype=float))
-        return evaluate(self.F, g)
-
     def value_at_param(self, u) -> np.ndarray:
-        """F(p(u)) in the curve's own parameter u: no arc-length inversion."""
+        """F(p(u)) at curve parameters u."""
         return evaluate(self.F, self.curve.spec.point(np.asarray(u, dtype=float)))
 
     def derivative_at_param(self, u) -> np.ndarray:
@@ -256,16 +254,16 @@ class RestrictedWave:
         return _half_plane_sum(self.F, spec.point(u), spec.d1(u))
 
     def grid_values(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(t, f) on the cached uniform n+1-node grid over [0, L].
+        """(u, f) on the cached uniform n+1-node grid over [angle0, angle1].
 
-        Shares the curve's incremental grids: refining evaluates only the
-        new odd nodes, so a full doubling cascade costs what its finest
-        level would alone.
+        Refining a cached grid by doubling evaluates only the new odd
+        nodes, so a full doubling cascade costs what its finest level
+        would alone.
         """
         hit = self._cache.get(n)
         if hit is not None:
             return hit
-        t, g = self.curve.grid(n)
+        u, g = self.curve.grid(n)
         prev = self._cache.get(n // 2) if n % 2 == 0 else None
         if prev is None:
             f = evaluate(self.F, g)
@@ -273,7 +271,7 @@ class RestrictedWave:
             f = np.empty(n + 1)
             f[::2] = prev[1]
             f[1::2] = evaluate(self.F, g[1::2])
-        hit = (t, f)
+        hit = (u, f)
         self._cache[n] = hit
         return hit
 

@@ -140,6 +140,17 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, config):
     assert not out.exists()
 
 
+def test_k_max_past_float_precision_is_config_error(tmp_path, capsys):
+    # sqrt(2) has 22 convergents with 1/q^2 > ulp(sqrt(2)); past them p/q
+    # equals beta in floats, which is a precision limit, not a failed proof
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o.jsonl"
+    cfg.write_text(json.dumps({"k_max": 40}))
+    assert main(["exceptions", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "only 22 convergents" in err and "float precision" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus"], ["sweep", "--seeds", "abc"], ["nodal", "--n", "1105"], []])
 def test_usage_error_is_config_error(capsys, argv):

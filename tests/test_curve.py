@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from toral_nodal.curve import (ArcLengthCurve, CircularArc, CubicArc, EllipseArc,
                                make_arclength, phase)
+from toral_nodal.errors import InvariantViolation
 
 
 def reference_arclength(spec, u0, u1, n=200_000):
@@ -22,14 +23,22 @@ def test_circular_closed_form():
     c = make_arclength(CircularArc(center=(0.0, 0.0), radius=1.0,
                                    angle0=0.0, angle1=math.pi / 4))
     assert c.length == math.pi / 4
-    assert c.kmax == 1.0
+    assert c.speed_max == c.accel_max == 1.0
 
 
 def test_scaled_circle_curvature():
     c = make_arclength(CircularArc(center=(1.0, 2.0), radius=2.5,
                                    angle0=0.1, angle1=0.6))
     assert c.length == pytest.approx(2.5 * 0.5, abs=1e-15)
-    assert c.kmax == pytest.approx(0.4)
+    assert c.speed_max == c.accel_max == 2.5
+    assert c.accel_max / c.speed_max**2 == pytest.approx(0.4)  # curvature 1/R
+
+
+def test_ellipse_derivative_bounds(ell):
+    # |p'|^2 = 1 + 3 sin^2 u rises and |p''|^2 = 1 + 3 cos^2 u falls on
+    # [0.2, 0.9] (a = 2, b = 1): both maxima sit at an end of the range
+    assert ell.speed_max == pytest.approx(math.sqrt(1 + 3 * math.sin(0.9) ** 2), rel=1e-15)
+    assert ell.accel_max == pytest.approx(math.sqrt(1 + 3 * math.cos(0.2) ** 2), rel=1e-15)
 
 
 def test_ellipse_length_matches_reference(ell):
@@ -72,12 +81,28 @@ def test_inflection_rejected():
 
 
 def test_unit_speed_and_frenet(all_curves):
+    h = 1e-5
     for curve in all_curves:
-        t = np.linspace(0.0, curve.length, 2001)
+        t = np.linspace(h, curve.length - h, 2001)
         fr = curve.frame(t)
+        # the speed by central differences of the points, not from the tangent
+        step = curve.frame(t + h).point - curve.frame(t - h).point
+        assert np.max(np.abs(np.linalg.norm(step, axis=-1) / (2 * h) - 1.0)) <= 1e-9
         tang = fr.tangent
         assert np.max(np.abs(np.linalg.norm(tang, axis=-1) - 1.0)) <= 1e-9
         assert np.max(np.abs(np.einsum("ij,ij->i", tang, fr.normal))) <= 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    CircularArc(center=(3.0, 3.0), radius=1.0, angle0=0.3, angle1=1.5),
+    EllipseArc(center=(2.0, 2.0), a=2.0, b=1.0, angle0=0.2, angle1=0.9)])
+def test_inversion_audit_catches_offset(monkeypatch, spec):
+    # an inversion off by 1e-3 in u still yields unit tangents; the audit
+    # must see that s(u(t)) misses t
+    inner = ArcLengthCurve.u_of_t
+    monkeypatch.setattr(ArcLengthCurve, "u_of_t", lambda self, t: inner(self, t) + 1e-3)
+    with pytest.raises(InvariantViolation, match="inversion"):
+        make_arclength(spec)
 
 
 @pytest.mark.parametrize("name", ["ell", "cub"])
@@ -112,7 +137,7 @@ def test_phase_circular_closed_form(circ):
     # for a circular arc, the phase in direction (1,0) is the x coordinate
     t = np.linspace(0.0, circ.length, 33)
     pe = phase(circ, (1.0, 0.0), t)
-    assert np.allclose(pe.phi, circ.gamma(t)[:, 0], atol=1e-12)
+    assert np.allclose(pe.phi, circ.frame(t).point[:, 0], atol=1e-12)
     u = 0.3 + t  # R = 1
     assert np.allclose(pe.phi, 3.0 + np.cos(u), atol=1e-12)
     assert np.allclose(pe.dphi, -np.sin(u), atol=1e-12)
@@ -171,9 +196,11 @@ def test_stationary_direction_values(circ):
 
 
 def test_grid_cache_consistency(ell):
-    t8, g8 = ell.grid(8)
-    t16, g16 = ell.grid(16)
-    assert np.array_equal(t16[::2], t8)
+    u8, g8 = ell.grid(8)
+    u16, g16 = ell.grid(16)
+    assert np.array_equal(u16[::2], u8)
     assert np.array_equal(g16[::2], g8)
-    direct = ell.gamma(t16)
-    assert np.max(np.abs(direct - g16)) < 1e-12
+    spec = ell.spec
+    assert u16[0] == spec.angle0 and u16[-1] == spec.angle1
+    assert np.max(np.abs(np.diff(u16) - (spec.angle1 - spec.angle0) / 16)) < 1e-15
+    assert np.max(np.abs(spec.point(u16) - g16)) < 1e-12

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import analytic_crossing_count, validate_brackets
 
-from toral_nodal.curve import CircularArc, make_arclength, phase
+from toral_nodal.curve import ArcLengthCurve, CircularArc, make_arclength, phase
 from toral_nodal.fixtures import circular_fixture
 from toral_nodal.lattice import enumerate_circle
 from toral_nodal.nodal import certified_sign_changes, count_sign_changes, theorem_harness
@@ -29,7 +29,7 @@ def test_count_matches_analytic_oracle(n, mu, shift, circ):
     rep = count_sign_changes(rw)
     assert rep.stable
     assert rep.count == analytic_crossing_count(circ, mu, shift)
-    validate_brackets(rep, rw.value)
+    validate_brackets(rep, rw.value_at_param)
 
 
 def test_counts_monotone_across_levels(circ):
@@ -107,7 +107,7 @@ def test_theorem_harness_zero_free_restriction():
     shift = -u_mid  # u(t) stays near 0 mod 2pi: cos > 0 on the whole arc
     F = make_eigenfunction(enumerate_circle(n), SinglePair(mu=mu, phase=shift))
     rw = restrict(F, curve)
-    assert np.min(rw.value(np.linspace(0, curve.length, 2000))) > 0.0
+    assert np.min(rw.value_at_param(np.linspace(0.78, 0.82, 2000))) > 0.0
     rec = theorem_harness(rw)
     assert rec.zeros == 0
     assert rec.ratio_zeros_arcmax == 0.0
@@ -125,9 +125,27 @@ def test_theorem_harness_random_row(circ):
     assert math.isfinite(rec.ratio_l4_arcmax)
 
 
+@pytest.mark.parametrize("name", ["ell", "cub"])
+def test_theorem_harness_never_inverts_arc_length(request, monkeypatch, name):
+    # the whole row runs in the curve's own parameter u
+    curve = request.getfixturevalue(name)
+    inner = ArcLengthCurve.u_of_t
+    calls = []
+
+    def counted(self, t):
+        calls.append(t)
+        return inner(self, t)
+
+    monkeypatch.setattr(ArcLengthCurve, "u_of_t", counted)
+    F = make_eigenfunction(enumerate_circle(1105), UniformRandom(seed=3))
+    rec = theorem_harness(restrict(F, curve))
+    assert rec.zeros > 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_theorem_harness_memory_bounded(seed):
-    # a fresh curve, so its grid cache is allocated inside the traced run
+    # a fresh curve and wave, so every grid is allocated inside the traced run
     F = make_eigenfunction(enumerate_circle(160225), UniformRandom(seed=seed))
     rw = restrict(F, circular_fixture())
     tracemalloc.start()

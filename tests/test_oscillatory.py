@@ -104,12 +104,9 @@ class ConstantWave:
         circle = enumerate_circle(25)
         self.F = make_eigenfunction(circle, SinglePair(mu=(5, 0)))
 
-    def value(self, t):
-        return np.ones_like(np.asarray(t, dtype=float))
-
     def grid_values(self, n):
-        t = np.linspace(0.0, self.curve.length, n + 1)
-        return t, self.value(t)
+        u = np.linspace(self.curve.spec.angle0, self.curve.spec.angle1, n + 1)
+        return u, self.value_at_param(u)
 
     def value_at_param(self, u):
         return np.ones_like(np.asarray(u, dtype=float))
@@ -134,7 +131,7 @@ def test_norms_single_pair_closed_form(circle25, circ):
     rw = restrict(F, circ)
     rep = restriction_norms(rw)
     t = np.linspace(0.0, circ.length, 2_000_001)
-    g = circ.gamma(t)
+    g = circ.frame(t).point
     u = 3 * g[:, 0] + 4 * g[:, 1] + 0.3
     remainder = np.trapezoid(np.cos(2 * u), t)
     assert rep.l2_sq == pytest.approx(circ.length + remainder, abs=1e-8)
@@ -194,11 +191,33 @@ def test_norms_single_pair_sup_closed_form(circle25, circ, shift):
     assert abs(rep.lsup - sup) <= 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["ell", "cub"])
+def test_norms_sup_on_curved_arcs(fixture, request):
+    # the u-grid sup with its margin in u, against |f| on 2^20 u-intervals,
+    # summed here as f = sum over upper-half mu of 2 Re(a_mu e^{i<mu, p(u)>})
+    curve = request.getfixturevalue(fixture)
+    circle = enumerate_circle(27625)
+    fields = [make_eigenfunction(circle, UniformRandom(seed=seed)) for seed in (0, 1, 2)]
+    mus = [p for p in circle.points if p[1] > 0 or (p[1] == 0 and p[0] > 0)]
+    a = np.array([[F.coeffs[p] for p in mus] for F in fields]).T
+    freqs = np.array(mus, dtype=float).T
+    spec = curve.spec
+    dense = np.zeros(len(fields))
+    for part in np.array_split(np.linspace(spec.angle0, spec.angle1, (1 << 20) + 1), 64):
+        ph = spec.point(part) @ freqs
+        f = 2.0 * (np.cos(ph) @ a.real - np.sin(ph) @ a.imag)
+        dense = np.maximum(dense, np.max(np.abs(f), axis=0))
+    for F, top in zip(fields, dense):
+        lsup = restriction_norms(restrict(F, curve)).lsup
+        assert lsup >= top - 1e-12
+        assert abs(lsup - top) <= 1e-7
+
+
 class ZeroPairProbe:
-    """f(t) = K ((t - c)^2 - d^2) on the unit-radius circle fixture, where
-    u = angle0 + t: two zeros c -+ d, which the caller places inside one
-    cell of the zero count's finest grid, around a node of the first
-    Gauss-Legendre level."""
+    """f = K ((t - c)^2 - d^2) on the unit-radius circle fixture, in its
+    arc length t = u - angle0: two zeros c -+ d, which the caller places
+    inside one cell of the zero count's finest grid, around a node of the
+    first Gauss-Legendre level."""
 
     def __init__(self, curve, lam, c, d, scale=1.0):
         assert curve.spec.radius == 1.0
@@ -206,15 +225,12 @@ class ZeroPairProbe:
         self.F = make_eigenfunction(enumerate_circle(25), SinglePair(mu=(5, 0)))
         self.u0 = curve.spec.angle0
 
-    def value(self, t):
-        return self.scale * ((np.asarray(t, dtype=float) - self.c) ** 2 - self.d**2)
-
     def grid_values(self, n):
-        t = np.linspace(0.0, self.curve.length, n + 1)
-        return t, self.value(t)
+        u = np.linspace(self.u0, self.curve.spec.angle1, n + 1)
+        return u, self.value_at_param(u)
 
     def value_at_param(self, u):
-        return self.value(np.asarray(u, dtype=float) - self.u0)
+        return self.scale * ((np.asarray(u, dtype=float) - self.u0 - self.c) ** 2 - self.d**2)
 
     def derivative_at_param(self, u):
         return 2.0 * self.scale * (np.asarray(u, dtype=float) - self.u0 - self.c)

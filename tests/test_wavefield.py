@@ -173,7 +173,8 @@ def test_restriction_consistency(circle25, circ):
     F = make_eigenfunction(circle25, UniformRandom(seed=7))
     rw = restrict(F, circ)
     t = np.linspace(0.0, circ.length, 1000)
-    assert np.max(np.abs(rw.value(t) - evaluate(F, circ.gamma(t)))) <= 1e-12
+    u = circ.spec.angle0 + t / circ.spec.radius  # the same points, in u
+    assert np.max(np.abs(rw.value_at_param(u) - evaluate(F, circ.frame(t).point))) <= 1e-12
 
 
 def test_restriction_derivative(circle25, circ):
@@ -188,16 +189,19 @@ def test_restriction_derivative(circle25, circ):
 def test_single_pair_restriction_closed_form(circle25, circ):
     F = make_eigenfunction(circle25, SinglePair(mu=(3, 4), phase=0.7))
     rw = restrict(F, circ)
-    t = np.linspace(0.0, circ.length, 200)
-    g = circ.gamma(t)
-    expect = math.sqrt(2.0) * np.cos(3 * g[:, 0] + 4 * g[:, 1] + 0.7)
-    assert np.allclose(rw.value(t), expect, atol=1e-12)
+    spec = circ.spec
+    u = np.linspace(spec.angle0, spec.angle1, 200)
+    x = spec.center[0] + spec.radius * np.cos(u)
+    y = spec.center[1] + spec.radius * np.sin(u)
+    expect = math.sqrt(2.0) * np.cos(3 * x + 4 * y + 0.7)
+    assert np.allclose(rw.value_at_param(u), expect, atol=1e-12)
 
 
 def test_grid_values_cache(circle25, circ):
     F = make_eigenfunction(circle25, UniformRandom(seed=1))
     rw = restrict(F, circ)
-    t1, f1 = rw.grid_values(64)
-    t2, f2 = rw.grid_values(128)
+    u1, f1 = rw.grid_values(64)
+    u2, f2 = rw.grid_values(128)
     assert np.array_equal(f2[::2], f1)
-    assert np.max(np.abs(f2 - rw.value(t2))) < 1e-12
+    assert np.array_equal(u2, np.linspace(circ.spec.angle0, circ.spec.angle1, 129))
+    assert np.max(np.abs(f2 - evaluate(F, circ.spec.point(u2)))) < 1e-12
